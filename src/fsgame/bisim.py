@@ -9,9 +9,8 @@ game solver cheap canonical keys.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .kripke import KripkeModel, PointedModel, successors
 
@@ -24,22 +23,17 @@ class _TypeTable:
         self._props: list[frozenset[str]] = []
         self._children: list[frozenset[int]] = []
         self._keys: list[str] = []
-        self._lock = threading.Lock()
 
     def intern(self, props: frozenset[str], children: frozenset[int]) -> int:
         key = (props, children)
         tid = self._ids.get(key)
-        if tid is not None:
-            return tid
-        with self._lock:
-            tid = self._ids.get(key)
-            if tid is None:
-                tid = len(self._props)
-                self._props.append(props)
-                self._children.append(children)
-                ckeys = sorted(self._keys[c] for c in children)
-                self._keys.append("(" + ",".join(sorted(props)) + ";" + "|".join(ckeys) + ")")
-                self._ids[key] = tid
+        if tid is None:
+            tid = len(self._props)
+            self._props.append(props)
+            self._children.append(children)
+            ckeys = sorted(self._keys[c] for c in children)
+            self._keys.append("(" + ",".join(sorted(props)) + ";" + "|".join(ckeys) + ")")
+            self._ids[key] = tid
         return tid
 
     def props(self, tid: int) -> frozenset[str]:
@@ -104,18 +98,27 @@ def prop_equivalent(p: PointedModel, q: PointedModel) -> bool:
 class BisimWitness:
     """Nested relations Z_depth <= ... <= Z_0 certifying depth-bounded equivalence.
 
-    Layers are materialized lazily; the solver never needs them, only
-    verification does.
+    Layers are materialized lazily, once per witness; the solver never needs
+    them, only verification does.
     """
 
     left: PointedModel
     right: PointedModel
     depth: int
 
-    @property
+    @cached_property
     def layers(self) -> tuple[frozenset[tuple[str, str]], ...]:
         """layers[i] relates worlds of the two models that are i-equivalent."""
-        return _witness_layers(self)
+        lm, rm = self.left.model, self.right.model
+        out = []
+        for i in range(self.depth + 1):
+            left, right = _layer(lm, i), _layer(rm, i)
+            out.append(
+                frozenset(
+                    (v, v2) for v in lm.worlds for v2 in rm.worlds if left[v] == right[v2]
+                )
+            )
+        return tuple(out)
 
     def layer(self, i: int) -> frozenset[tuple[str, str]]:
         return self.layers[i]
@@ -140,21 +143,6 @@ class BisimWitness:
                     if not any((u, u2) in zs[i] for u in lm.succ(v)):
                         return False
         return True
-
-
-@lru_cache(maxsize=None)
-def _witness_layers(w: BisimWitness) -> tuple[frozenset[tuple[str, str]], ...]:
-    out = []
-    for i in range(w.depth + 1):
-        left = _layer(w.left.model, i)
-        right = _layer(w.right.model, i)
-        out.append(
-            frozenset(
-                (v, v2) for v in w.left.model.worlds for v2 in w.right.model.worlds
-                if left[v] == right[v2]
-            )
-        )
-    return tuple(out)
 
 
 def n_bisimilar(p: PointedModel, q: PointedModel, n: int) -> BisimWitness | None:

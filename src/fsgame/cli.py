@@ -102,12 +102,7 @@ def _load_position(args: argparse.Namespace) -> game.GamePosition:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    pos = _load_position(args)
-    try:
-        verdict = game.solve(pos, node_limit=_node_limit(args), threads=args.threads)
-    except game.SearchBudgetExceeded as exc:
-        _out({"error": "budget-exceeded", "nodes": exc.nodes})
-        return 1
+    verdict = game.solve(_load_position(args), node_limit=_node_limit(args))
     _out(game.verdict_to_dict(verdict))
     return 0
 
@@ -115,13 +110,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_minimal(args: argparse.Namespace) -> int:
     left = kripke.read_modelset(args.left)
     right = kripke.read_modelset(args.right)
-    try:
-        frontier = game.minimal_separating(
-            left, right, args.max_size, node_limit=_node_limit(args)
-        )
-    except game.SearchBudgetExceeded as exc:
-        _out({"error": "budget-exceeded", "nodes": exc.nodes})
-        return 1
+    frontier = game.minimal_separating(left, right, args.max_size, node_limit=_node_limit(args))
     _out(
         {
             "frontier": [
@@ -244,9 +233,7 @@ _GRID_CAPS = {1: (4, 2), 2: (3, 1)}
 _FRONTIER_BUDGET = {1: 5}
 
 
-def build_experiment_report(
-    n: int, *, node_limit: int | None = None, threads: int = 1
-) -> ExperimentReport:
+def build_experiment_report(n: int, *, node_limit: int | None = None) -> ExperimentReport:
     """Assemble the report; the solver grid and the separation check run only
     for n <= 2, larger n get the chromatic certificate alone."""
     if n < 1:
@@ -286,11 +273,7 @@ def build_experiment_report(
                 cell: dict = {"m": m, "k": k}
                 cell_start = time.perf_counter()
                 try:
-                    verdict = game.solve(
-                        game.GamePosition(m, k, vv, ee),
-                        node_limit=node_limit,
-                        threads=threads,
-                    )
+                    verdict = game.solve(game.GamePosition(m, k, vv, ee), node_limit=node_limit)
                 except game.SearchBudgetExceeded as exc:
                     cell.update({"winner": None, "error": "budget-exceeded", "nodes": exc.nodes})
                 else:
@@ -316,9 +299,7 @@ def build_experiment_report(
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    report = build_experiment_report(
-        args.n, node_limit=_node_limit(args), threads=args.threads
-    )
+    report = build_experiment_report(args.n, node_limit=_node_limit(args))
     _out(report.to_dict())
     return 0
 
@@ -470,7 +451,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, help="modal budget")
     p.add_argument("--k", type=int, help="connective budget")
     p.add_argument("--node-limit", type=int)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("minimal", help="budget-minimal separating formulas")
@@ -493,7 +473,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="size report: first-order sizes vs solver verdicts")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--node-limit", type=int)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(handler=_cmd_experiment)
 
     p = sub.add_parser("play", help="interactive play against the exact solver")

@@ -12,10 +12,8 @@ classes, so its verdicts depend only on what formulas within budget can see.
 from __future__ import annotations
 
 import itertools
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from . import kripke
 from .bisim import TYPES, BisimWitness, bounded_type, truncate_type
@@ -259,7 +257,6 @@ class _Solver:
         self.node_limit = node_limit
         self.memo: dict[tuple, MLFormula | None] = {}
         self.nodes = 0
-        self._count_lock = threading.Lock()
 
     def win(self, m: int, k: int, left: frozenset[int], right: frozenset[int]) -> MLFormula | None:
         left = frozenset(truncate_type(t, m) for t in left)
@@ -268,11 +265,9 @@ class _Solver:
         hit = self.memo.get(key, _MISS)
         if hit is not _MISS:
             return hit
-        with self._count_lock:
-            self.nodes += 1
-            nodes = self.nodes
-        if nodes > self.node_limit:
-            raise SearchBudgetExceeded(nodes)
+        self.nodes += 1
+        if self.nodes > self.node_limit:
+            raise SearchBudgetExceeded(self.nodes)
         result = self._search(m, k, left, right)
         self.memo[key] = result
         return result
@@ -397,95 +392,22 @@ class DuplicatorWins:
 Verdict = SpoilerWins | DuplicatorWins
 
 
-def solve(
-    pos: GamePosition, *, node_limit: int | None = None, threads: int = 1
-) -> Verdict:
+def solve(pos: GamePosition, *, node_limit: int | None = None) -> Verdict:
     """Exact verdict by exhaustive memoized search.
 
     Raises ``SearchBudgetExceeded`` (never a verdict) when the node ceiling is
-    hit.  ``threads > 1`` explores the root moves concurrently and returns the
-    same verdict as the single-threaded search.
+    hit.
     """
     signature = position_signature(pos)
     limit = DEFAULT_NODE_LIMIT if node_limit is None else node_limit
     A = frozenset(bounded_type(p, pos.m) for p in pos.left)
     B = frozenset(bounded_type(q, pos.m) for q in pos.right)
     solver = _Solver(signature, limit)
-    if threads > 1:
-        formula = _solve_parallel(solver, pos.m, pos.k, A, B, threads)
-    else:
-        formula = solver.win(pos.m, pos.k, A, B)
+    formula = solver.win(pos.m, pos.k, A, B)
     if formula is None:
         return DuplicatorWins(nodes=solver.nodes)
     strategy = _strategy_for(formula, pos)
     return SpoilerWins(strategy=strategy, formula=formula, nodes=solver.nodes)
-
-
-def _solve_parallel(
-    solver: _Solver, m: int, k: int, A: frozenset[int], B: frozenset[int], threads: int
-) -> MLFormula | None:
-    """Root-level parallel search sharing the memo table.
-
-    Workers may duplicate work; results are pure so duplicates agree.  The
-    verdict is decided from the results in canonical move order.
-    """
-    A = frozenset(truncate_type(t, m) for t in A)
-    B = frozenset(truncate_type(t, m) for t in B)
-    for lit in solver.literals:
-        if _literal_separates(lit, A, B):
-            return lit
-    if A & B or (m == 0 and k == 0):
-        return None
-
-    tasks: list[Callable[[], MLFormula | None]] = []
-
-    def succ_task(advance_left: bool, image: frozenset[int]) -> Callable[[], MLFormula | None]:
-        def run() -> MLFormula | None:
-            if advance_left:
-                sub = solver.win(m - 1, k, image, _union_children(B))
-                return None if sub is None else ml.Diamond(sub)
-            sub = solver.win(m - 1, k, _union_children(A), image)
-            return None if sub is None else ml.Box(sub)
-
-        return run
-
-    def split_task(
-        split_left: bool, parts: tuple[frozenset[int], frozenset[int]], m1: int, k1: int
-    ) -> Callable[[], MLFormula | None]:
-        def run() -> MLFormula | None:
-            part1, part2 = parts
-            m2, k2 = m - m1, k - 1 - k1
-            if split_left:
-                f1 = solver.win(m1, k1, part1, B)
-                f2 = solver.win(m2, k2, part2, B) if f1 is not None else None
-                return ml.Or(f1, f2) if f1 is not None and f2 is not None else None
-            f1 = solver.win(m1, k1, A, part1)
-            f2 = solver.win(m2, k2, A, part2) if f1 is not None else None
-            return ml.And(f1, f2) if f1 is not None and f2 is not None else None
-
-        return run
-
-    if m >= 1:
-        if all(TYPES.children(t) for t in A):
-            for image in _choice_images(A):
-                tasks.append(succ_task(True, image))
-        if all(TYPES.children(t) for t in B):
-            for image in _choice_images(B):
-                tasks.append(succ_task(False, image))
-    if k >= 1:
-        for split_left in (True, False):
-            side = A if split_left else B
-            for parts in _anchored_partitions(side):
-                for k1 in range(k):
-                    for m1 in range(m + 1):
-                        tasks.append(split_task(split_left, parts, m1, k1))
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(lambda task: task(), tasks))
-    for result in results:
-        if result is not None:
-            return result
-    return None
 
 
 @dataclass
@@ -736,7 +658,7 @@ def position_from_dict(obj: object) -> GamePosition:
     missing = {"m", "k", "left", "right"} - obj.keys()
     if missing:
         raise ValueError(f"position object is missing keys: {sorted(missing)}")
-    if not isinstance(obj["m"], int) or not isinstance(obj["k"], int):
+    if any(type(obj[key]) is not int for key in ("m", "k")):
         raise ValueError('"m" and "k" must be integers')
     pos = GamePosition(
         obj["m"],

@@ -91,15 +91,6 @@ class PointedModel:
         return f"PointedModel(point={self.point!r}, {self.model!r})"
 
 
-# A ModelSet is a plain frozenset; structural identity of the members is the
-# deduplication criterion (no isomorphism checking here).
-ModelSet = frozenset
-
-
-def model_set(models: Iterable[PointedModel]) -> frozenset[PointedModel]:
-    return frozenset(models)
-
-
 def successors(p: PointedModel) -> frozenset[PointedModel]:
     """All pointed models (same frame) one step along the accessibility relation."""
     return frozenset(PointedModel(p.model, v) for v in p.model.succ(p.point))

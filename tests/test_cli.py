@@ -94,15 +94,29 @@ def test_solve_flags_form(capsys, files):
     assert json.loads(out)["winner"] == "D"
 
 
-def test_solve_budget_refusal(capsys, files):
+@pytest.mark.parametrize(
+    "command",
+    [("solve", "--m", "4", "--k", "1"), ("minimal", "--max-size", "5")],
+    ids=["solve", "minimal"],
+)
+def test_solve_budget_refusal(capsys, files, command):
     code, out, _ = run(
         capsys,
-        "solve",
-        "--left", files["vv1"], "--right", files["ee1"], "--m", "4", "--k", "1",
+        command[0],
+        "--left", files["vv1"], "--right", files["ee1"], *command[1:],
         "--node-limit", "2",
     )
     assert code == 1
-    assert json.loads(out)["error"] == "budget-exceeded"
+    assert json.loads(out) == {"error": "budget-exceeded", "nodes": 3}
+
+
+def test_solve_rejects_boolean_budget(capsys, tmp_path, m_empty, m_single):
+    obj = position_to_dict(GamePosition(1, 0, {m_empty}, {m_single}))
+    path = tmp_path / "pos_bool.json"
+    path.write_text(json.dumps({**obj, "m": True}))
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 2 and out == ""
+    assert "must be integers" in err
 
 
 def test_solve_env_node_limit(capsys, files, monkeypatch):
