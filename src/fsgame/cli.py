@@ -36,10 +36,17 @@ def _err(message: str) -> None:
 
 
 def _node_limit(args: argparse.Namespace) -> int | None:
-    if getattr(args, "node_limit", None) is not None:
-        return args.node_limit
+    limit = getattr(args, "node_limit", None)
+    if limit is not None:
+        if limit < 0:
+            raise ValueError(f"--node-limit must be non-negative, got {limit}")
+        return limit
     env = os.environ.get(MEMO_LIMIT_ENV)
-    return int(env) if env else None
+    if not env:
+        return None
+    if not env.strip().isdecimal():
+        raise ValueError(f"{MEMO_LIMIT_ENV} must be a non-negative integer, got {env!r}")
+    return int(env)
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:

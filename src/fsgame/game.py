@@ -250,17 +250,28 @@ class _Solver:
     whose members are pairwise depth-m equivalent therefore share memo
     entries, and successor choices range over equivalence classes of
     successors rather than raw successors.
+
+    Contract: the sides passed to ``win`` at modal budget m are sets of
+    depth-m classes (``truncate_type(t, m) == t`` for every member), and the
+    callers cut them.  ``bounded_type(p, m)`` and the children of depth-m
+    classes already are such classes; only a split lowers the budget of a
+    branch, so ``_try_splits`` is the one place that truncates.
     """
 
-    def __init__(self, signature: Iterable[str], node_limit: int) -> None:
+    def __init__(self, signature: Iterable[str], node_limit: int | None) -> None:
+        if node_limit is not None and node_limit < 0:
+            raise ValueError(f"node_limit must be non-negative, got {node_limit}")
         self.literals = _literals(signature)
-        self.node_limit = node_limit
+        self.node_limit = DEFAULT_NODE_LIMIT if node_limit is None else node_limit
         self.memo: dict[tuple, MLFormula | None] = {}
         self.nodes = 0
 
     def win(self, m: int, k: int, left: frozenset[int], right: frozenset[int]) -> MLFormula | None:
-        left = frozenset(truncate_type(t, m) for t in left)
-        right = frozenset(truncate_type(t, m) for t in right)
+        """A separating formula within (m, k), or None.
+
+        Both sides must already be sets of depth-m classes; they are the memo
+        key as given, so a caller that skips the cut misses the memo.
+        """
         key = (m, k, left, right)
         hit = self.memo.get(key, _MISS)
         if hit is not _MISS:
@@ -306,27 +317,33 @@ class _Solver:
     def _try_splits(
         self, m: int, k: int, A: frozenset[int], B: frozenset[int], *, split_left: bool
     ) -> MLFormula | None:
-        side = A if split_left else B
+        # A branch with modal budget d sees only depth-d classes.  Every set is
+        # cut at most once per depth d < m; at d == m it is its own cut.
+        side, other = (A, B) if split_left else (B, A)
+        cuts = [{t: truncate_type(t, d) for t in side} for d in range(m)]
+        others = [frozenset(truncate_type(t, d) for t in other) for d in range(m)] + [other]
         for part1, part2 in _anchored_partitions(side):
+            parts1 = [frozenset(cut[t] for t in part1) for cut in cuts] + [part1]
+            parts2 = None  # cut only once a first branch wins
             for k1 in range(k):
                 k2 = k - 1 - k1
                 for m1 in range(m + 1):
                     m2 = m - m1
                     if split_left:
-                        f1 = self.win(m1, k1, part1, B)
-                        if f1 is None:
-                            continue
-                        f2 = self.win(m2, k2, part2, B)
-                        if f2 is None:
-                            continue
-                        return ml.Or(f1, f2)
-                    f1 = self.win(m1, k1, A, part1)
+                        f1 = self.win(m1, k1, parts1[m1], others[m1])
+                    else:
+                        f1 = self.win(m1, k1, others[m1], parts1[m1])
                     if f1 is None:
                         continue
-                    f2 = self.win(m2, k2, A, part2)
+                    if parts2 is None:
+                        parts2 = [frozenset(cut[t] for t in part2) for cut in cuts] + [part2]
+                    if split_left:
+                        f2 = self.win(m2, k2, parts2[m2], others[m2])
+                    else:
+                        f2 = self.win(m2, k2, others[m2], parts2[m2])
                     if f2 is None:
                         continue
-                    return ml.And(f1, f2)
+                    return ml.Or(f1, f2) if split_left else ml.And(f1, f2)
         return None
 
 
@@ -396,13 +413,11 @@ def solve(pos: GamePosition, *, node_limit: int | None = None) -> Verdict:
     """Exact verdict by exhaustive memoized search.
 
     Raises ``SearchBudgetExceeded`` (never a verdict) when the node ceiling is
-    hit.
+    hit.  A negative ``node_limit`` is an input error (``ValueError``).
     """
-    signature = position_signature(pos)
-    limit = DEFAULT_NODE_LIMIT if node_limit is None else node_limit
+    solver = _Solver(position_signature(pos), node_limit)
     A = frozenset(bounded_type(p, pos.m) for p in pos.left)
     B = frozenset(bounded_type(q, pos.m) for q in pos.right)
-    solver = _Solver(signature, limit)
     formula = solver.win(pos.m, pos.k, A, B)
     if formula is None:
         return DuplicatorWins(nodes=solver.nodes)
@@ -621,14 +636,12 @@ def minimal_separating(
     separating formula, each with one such formula.
 
     Minimality is componentwise; the search shares one memo table across the
-    whole budget grid.
+    whole budget grid.  A negative ``node_limit`` raises ``ValueError``.
     """
     if max_total < 0:
         raise ValueError("budget must be non-negative")
     a, b = frozenset(a), frozenset(b)
-    signature = position_signature(GamePosition(0, 0, a, b))
-    limit = DEFAULT_NODE_LIMIT if node_limit is None else node_limit
-    solver = _Solver(signature, limit)
+    solver = _Solver(position_signature(GamePosition(0, 0, a, b)), node_limit)
     frontier: list[tuple[int, int, MLFormula]] = []
     for total in range(max_total + 1):
         for m in range(total + 1):

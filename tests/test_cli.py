@@ -130,6 +130,37 @@ def test_solve_env_node_limit(capsys, files, monkeypatch):
     assert json.loads(out)["error"] == "budget-exceeded"
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["solve", "--m", "4", "--k", "1"], ["minimal", "--max-size", "5"]],
+    ids=["solve", "minimal"],
+)
+def test_negative_node_limit_is_an_input_error(capsys, files, command):
+    code, out, err = run(
+        capsys,
+        command[0],
+        "--left", files["vv1"], "--right", files["ee1"], *command[1:],
+        "--node-limit", "-3",
+    )
+    assert code == 2 and out == ""
+    assert "--node-limit" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
+def test_bad_env_node_limit_is_an_input_error(capsys, files, monkeypatch, value):
+    monkeypatch.setenv(cli.MEMO_LIMIT_ENV, value)
+    code, out, err = run(capsys, "solve", files["pos_simple"])
+    assert code == 2 and out == ""
+    assert cli.MEMO_LIMIT_ENV in err
+
+
+def test_zero_env_node_limit_is_a_budget(capsys, files, monkeypatch):
+    monkeypatch.setenv(cli.MEMO_LIMIT_ENV, "0")
+    code, out, _ = run(capsys, "solve", files["pos_simple"])
+    assert code == 1
+    assert json.loads(out) == {"error": "budget-exceeded", "nodes": 1}
+
+
 def test_solve_is_deterministic(capsys, files):
     first = run(capsys, "solve", files["pos_simple"])
     second = run(capsys, "solve", files["pos_simple"])

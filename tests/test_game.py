@@ -173,6 +173,41 @@ def test_solve_budget_exceeded(vv2, ee2):
         solve(GamePosition(3, 1, vv2, ee2), node_limit=2)
 
 
+def test_negative_node_limit_is_an_input_error(vv1, ee1):
+    pos = GamePosition(3, 1, vv1, ee1)
+    with pytest.raises(ValueError, match="node_limit"):
+        solve(pos, node_limit=-3)
+    with pytest.raises(ValueError, match="node_limit"):
+        minimal_separating(vv1, ee1, 5, node_limit=-1)
+    # zero is a legal budget: the first state already exceeds it
+    with pytest.raises(SearchBudgetExceeded):
+        solve(pos, node_limit=0)
+    with pytest.raises(SearchBudgetExceeded):
+        minimal_separating(vv1, ee1, 5, node_limit=0)
+
+
+@pytest.mark.parametrize(("m", "k", "nodes"), [(6, 3, 3477), (8, 2, 2922), (3, 1, 98)])
+def test_solve_node_counts_are_pinned(vv2, ee2, m, k, nodes):
+    # a node count that moves without a reason is a regression of the search
+    verdict = verdict_to_dict(solve(GamePosition(m, k, vv2, ee2)))
+    assert verdict == {"winner": "D", "formula": None, "ms": None, "cs": None, "nodes": nodes}
+
+
+def test_solver_memo_keys_are_depth_m_classes(vv2, ee2):
+    # _Solver.win takes sides of depth-m classes and does not cut them itself;
+    # every key in the memo must therefore be a fixed point of the cut
+    rng = random.Random(37)
+    positions = [GamePosition(3, 1, vv2, ee2)] + [random_position(rng) for _ in range(25)]
+    for pos in positions:
+        solver = game._Solver(game.position_signature(pos), game.DEFAULT_NODE_LIMIT)
+        A = frozenset(bisim.bounded_type(p, pos.m) for p in pos.left)
+        B = frozenset(bisim.bounded_type(q, pos.m) for q in pos.right)
+        solver.win(pos.m, pos.k, A, B)
+        assert solver.memo
+        for m, _, left, right in solver.memo:
+            assert all(bisim.truncate_type(t, m) == t for t in left | right), (pos, m)
+
+
 def test_duplicator_bisim_strategy_validation(m_empty, m_single, vv1, ee1):
     pos = GamePosition(2, 1, {m_empty}, {m_empty})
     witness = bisim.n_bisimilar(m_empty, m_empty, 1)
@@ -220,7 +255,7 @@ def test_minimal_separating_examples(m_empty, m_single, vv1, ee1):
     assert frontier == [(1, 0, Box(BOT))]
     assert minimal_separating({m_empty}, {m_empty}, 4) == []
     frontier = minimal_separating(vv1, ee1, 5)
-    assert frontier
+    assert frontier == [(4, 1, parse_ml("[]<>T | [][]F"))]
     for m, k, formula in frontier:
         assert k >= 1
         assert separates(formula, vv1, ee1)
