@@ -242,9 +242,12 @@ _FRONTIER_BUDGET = {1: 5}
 
 def build_experiment_report(n: int, *, node_limit: int | None = None) -> ExperimentReport:
     """Assemble the report; the solver grid and the separation check run only
-    for n <= 2, larger n get the chromatic certificate alone."""
+    for n <= 2, larger n get the chromatic certificate alone.  A negative
+    ``node_limit`` raises ``ValueError`` for every n, also where no solver runs."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    if node_limit is not None and node_limit < 0:
+        raise ValueError(f"node_limit must be non-negative, got {node_limit}")
     if n > 3:
         raise _Refusal(f"the pair family at n={n} is not enumerable")
     started = time.perf_counter()

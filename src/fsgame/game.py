@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 from . import kripke
-from .bisim import TYPES, BisimWitness, bounded_type, truncate_type
+from .bisim import TYPES, BisimWitness, _layer, bounded_type, truncate_type
 from .kripke import PointedModel, canonical_key, diamond_all, diamond_choice, successors
 from .logic import ml
 from .logic.ml import BOT, TOP, MLFormula, NegProp, Prop, eval_ml, ml_sizes, separates
@@ -246,31 +246,80 @@ _MISS = object()
 class _Solver:
     """Exhaustive memoized search over behavior-class positions.
 
-    Sets are abstracted to sets of depth-m type ids (see ``bisim``); positions
-    whose members are pairwise depth-m equivalent therefore share memo
-    entries, and successor choices range over equivalence classes of
-    successors rather than raw successors.
+    A side is an int bitmask over ``self.types``, the class universe of one
+    solver: every depth-d class (``bisim._layer``, d <= max_m) of every world
+    of the members' models, ordered by ``TYPES.sort_key``.  Bit i stands for
+    ``self.types[i]``, so reading a mask from its low bit up visits its
+    classes in sort order.  Positions whose members are pairwise depth-m
+    equivalent set the same bit and share memo entries, and successor choices
+    range over equivalence classes of successors rather than raw successors.
 
-    Contract: the sides passed to ``win`` at modal budget m are sets of
+    Contract: the sides passed to ``win`` at modal budget m are masks of
     depth-m classes (``truncate_type(t, m) == t`` for every member), and the
     callers cut them.  ``bounded_type(p, m)`` and the children of depth-m
     classes already are such classes; only a split lowers the budget of a
-    branch, so ``_try_splits`` is the one place that truncates.
+    branch, so ``_try_splits`` is the one place that truncates.  The universe
+    holds the children and the cuts of each of its classes.
     """
 
-    def __init__(self, signature: Iterable[str], node_limit: int | None) -> None:
+    def __init__(
+        self,
+        signature: frozenset[str],
+        node_limit: int | None,
+        members: Iterable[PointedModel],
+        max_m: int,
+    ) -> None:
         if node_limit is not None and node_limit < 0:
             raise ValueError(f"node_limit must be non-negative, got {node_limit}")
-        self.literals = _literals(signature)
         self.node_limit = DEFAULT_NODE_LIMIT if node_limit is None else node_limit
-        self.memo: dict[tuple, MLFormula | None] = {}
+        self.memo: dict[tuple[int, int, int, int], MLFormula | None] = {}
         self.nodes = 0
+        ids: set[int] = set()
+        for model in {p.model for p in members}:
+            for d in range(max_m + 1):
+                ids.update(_layer(model, d).values())
+        self.types = sorted(ids, key=TYPES.sort_key)
+        self.bit = {t: 1 << i for i, t in enumerate(self.types)}
+        full = (1 << len(self.types)) - 1
+        holds = dict.fromkeys(signature, 0)
+        self.leaves = 0  # classes without successors
+        for t, b in self.bit.items():
+            for p in TYPES.props(t):
+                holds[p] |= b
+            if not TYPES.children(t):
+                self.leaves |= b
+        # each literal with the classes where it is true and where it is false
+        self.literals = []
+        for lit in _literals(signature):
+            if isinstance(lit, ml.Bot):
+                truth = 0
+            elif isinstance(lit, ml.Top):
+                truth = full
+            elif isinstance(lit, Prop):
+                truth = holds[lit.name]
+            else:
+                truth = full ^ holds[lit.name]
+            self.literals.append((lit, truth, full ^ truth))
+        # per-bit child bits, and per-mask images, unions, partitions and cuts
+        self._children: list[list[int] | None] = [None] * len(self.types)
+        self._images: dict[int, list[int]] = {}
+        self._unions: dict[int, int] = {}
+        self._partitions: dict[int, list[tuple[int, int]]] = {}
+        self._cuts: dict[tuple[int, int], list[int]] = {}
 
-    def win(self, m: int, k: int, left: frozenset[int], right: frozenset[int]) -> MLFormula | None:
+    def encode(self, types: Iterable[int]) -> int:
+        """The mask of a set of classes; a class repeated sets one bit."""
+        return sum(self.bit[t] for t in set(types))
+
+    def decode(self, mask: int) -> list[int]:
+        """The classes of a mask, in sort order."""
+        return [self.types[i] for i in _bits(mask)]
+
+    def win(self, m: int, k: int, left: int, right: int) -> MLFormula | None:
         """A separating formula within (m, k), or None.
 
-        Both sides must already be sets of depth-m classes; they are the memo
-        key as given, so a caller that skips the cut misses the memo.
+        Both sides must already be masks of depth-m classes; they are the
+        memo key as given, so a caller that skips the cut misses the memo.
         """
         key = (m, k, left, right)
         hit = self.memo.get(key, _MISS)
@@ -283,9 +332,9 @@ class _Solver:
         self.memo[key] = result
         return result
 
-    def _search(self, m: int, k: int, A: frozenset[int], B: frozenset[int]) -> MLFormula | None:
-        for lit in self.literals:
-            if _literal_separates(lit, A, B):
+    def _search(self, m: int, k: int, A: int, B: int) -> MLFormula | None:
+        for lit, truth, falsity in self.literals:
+            if not (A & falsity or B & truth):
                 return lit
         if A & B:
             # a shared depth-m class defeats every formula within the budget
@@ -293,15 +342,15 @@ class _Solver:
         if m == 0 and k == 0:
             return None
         if m >= 1:
-            if all(TYPES.children(t) for t in A):
-                b_all = _union_children(B)
-                for image in _choice_images(A):
+            if not A & self.leaves:
+                b_all = self._union_children(B)
+                for image in self._images_of(A):
                     sub = self.win(m - 1, k, image, b_all)
                     if sub is not None:
                         return ml.Diamond(sub)
-            if all(TYPES.children(t) for t in B):
-                a_all = _union_children(A)
-                for image in _choice_images(B):
+            if not B & self.leaves:
+                a_all = self._union_children(A)
+                for image in self._images_of(B):
                     sub = self.win(m - 1, k, a_all, image)
                     if sub is not None:
                         return ml.Box(sub)
@@ -314,84 +363,118 @@ class _Solver:
                 return found
         return None
 
-    def _try_splits(
-        self, m: int, k: int, A: frozenset[int], B: frozenset[int], *, split_left: bool
-    ) -> MLFormula | None:
-        # A branch with modal budget d sees only depth-d classes.  Every set is
-        # cut at most once per depth d < m; at d == m it is its own cut.
+    def _try_splits(self, m: int, k: int, A: int, B: int, *, split_left: bool) -> MLFormula | None:
+        # A branch with modal budget d sees only depth-d classes, so it gets
+        # the cut at d of each set.  The memo is probed here, and ``win`` is
+        # called only on a miss.
         side, other = (A, B) if split_left else (B, A)
-        cuts = [{t: truncate_type(t, d) for t in side} for d in range(m)]
-        others = [frozenset(truncate_type(t, d) for t in other) for d in range(m)] + [other]
-        for part1, part2 in _anchored_partitions(side):
-            parts1 = [frozenset(cut[t] for t in part1) for cut in cuts] + [part1]
+        memo = self.memo
+        others = self._cut(other, m)
+        for part1, part2 in self._partitions_of(side):
+            parts1 = self._cut(part1, m)
             parts2 = None  # cut only once a first branch wins
             for k1 in range(k):
                 k2 = k - 1 - k1
                 for m1 in range(m + 1):
-                    m2 = m - m1
                     if split_left:
-                        f1 = self.win(m1, k1, parts1[m1], others[m1])
+                        key = (m1, k1, parts1[m1], others[m1])
                     else:
-                        f1 = self.win(m1, k1, others[m1], parts1[m1])
+                        key = (m1, k1, others[m1], parts1[m1])
+                    f1 = memo.get(key, _MISS)
+                    if f1 is _MISS:
+                        f1 = self.win(*key)
                     if f1 is None:
                         continue
                     if parts2 is None:
-                        parts2 = [frozenset(cut[t] for t in part2) for cut in cuts] + [part2]
+                        parts2 = self._cut(part2, m)
+                    m2 = m - m1
                     if split_left:
-                        f2 = self.win(m2, k2, parts2[m2], others[m2])
+                        key = (m2, k2, parts2[m2], others[m2])
                     else:
-                        f2 = self.win(m2, k2, others[m2], parts2[m2])
+                        key = (m2, k2, others[m2], parts2[m2])
+                    f2 = memo.get(key, _MISS)
+                    if f2 is _MISS:
+                        f2 = self.win(*key)
                     if f2 is None:
                         continue
                     return ml.Or(f1, f2) if split_left else ml.And(f1, f2)
         return None
 
+    def _child_bits(self, i: int) -> list[int]:
+        kids = self._children[i]
+        if kids is None:
+            kids = self._children[i] = sorted(self.bit[c] for c in TYPES.children(self.types[i]))
+        return kids
 
-def _literal_separates(lit: MLFormula, A: frozenset[int], B: frozenset[int]) -> bool:
-    return all(_literal_truth(lit, t) for t in A) and not any(_literal_truth(lit, t) for t in B)
+    def _union_children(self, side: int) -> int:
+        union = self._unions.get(side)
+        if union is None:
+            union = 0
+            for i in _bits(side):
+                for kid in self._child_bits(i):
+                    union |= kid
+            self._unions[side] = union
+        return union
+
+    def _images_of(self, side: int) -> list[int]:
+        images = self._images.get(side)
+        if images is None:
+            images = _choice_images([self._child_bits(i) for i in _bits(side)])
+            self._images[side] = images
+        return images
+
+    def _partitions_of(self, side: int) -> list[tuple[int, int]]:
+        partitions = self._partitions.get(side)
+        if partitions is None:
+            partitions = self._partitions[side] = _anchored_partitions(side)
+        return partitions
+
+    def _cut(self, mask: int, m: int) -> list[int]:
+        """The mask seen by a branch of modal budget d, for d = 0..m: its cut
+        at each d < m, then the mask itself."""
+        key = (mask, m)
+        cuts = self._cuts.get(key)
+        if cuts is None:
+            types = self.decode(mask)
+            cuts = [self.encode(truncate_type(t, d) for t in types) for d in range(m)]
+            cuts.append(mask)
+            self._cuts[key] = cuts
+        return cuts
 
 
-def _literal_truth(lit: MLFormula, tid: int) -> bool:
-    if isinstance(lit, ml.Top):
-        return True
-    if isinstance(lit, ml.Bot):
-        return False
-    if isinstance(lit, Prop):
-        return lit.name in TYPES.props(tid)
-    return lit.name not in TYPES.props(tid)
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of a mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
-def _union_children(types: frozenset[int]) -> frozenset[int]:
-    out: set[int] = set()
-    for t in types:
-        out.update(TYPES.children(t))
-    return frozenset(out)
-
-
-def _choice_images(types: frozenset[int]) -> list[frozenset[int]]:
-    members = sorted(types, key=TYPES.sort_key)
-    options = [sorted(TYPES.children(t), key=TYPES.sort_key) for t in members]
-    images: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()
-    for combo in itertools.product(*options):
-        image = frozenset(combo)
-        if image not in seen:
-            seen.add(image)
-            images.append(image)
+def _choice_images(options: list[list[int]]) -> list[int]:
+    """Every distinct successor image of a side, given each member's child
+    bits in order: one child per member, in the order of their product."""
+    images = [0]
+    for kids in options:
+        # a repeated prefix would only repeat images that come earlier
+        images = list(dict.fromkeys(image | kid for image in images for kid in kids))
     return images
 
 
-def _anchored_partitions(side: frozenset[int]) -> list[tuple[frozenset[int], frozenset[int]]]:
-    members = sorted(side, key=TYPES.sort_key)
-    if not members:
-        return [(frozenset(), frozenset())]
-    # every unordered partition once: the first member is pinned to part 1
-    anchor, rest = members[0], members[1:]
+def _anchored_partitions(side: int) -> list[tuple[int, int]]:
+    """Every unordered partition of a side once: its lowest bit is pinned to
+    part 1, and the submasks of the rest follow in increasing order."""
+    anchor = side & -side
+    rest = side ^ anchor
     out = []
-    for mask in range(1 << len(rest)):
-        part1 = frozenset([anchor] + [t for i, t in enumerate(rest) if mask >> i & 1])
-        out.append((part1, side - part1))
-    return out
+    sub = 0
+    while True:
+        part1 = anchor | sub
+        out.append((part1, side ^ part1))
+        if sub == rest:
+            return out
+        sub = (sub - rest) & rest
 
 
 @dataclass(frozen=True)
@@ -415,9 +498,9 @@ def solve(pos: GamePosition, *, node_limit: int | None = None) -> Verdict:
     Raises ``SearchBudgetExceeded`` (never a verdict) when the node ceiling is
     hit.  A negative ``node_limit`` is an input error (``ValueError``).
     """
-    solver = _Solver(position_signature(pos), node_limit)
-    A = frozenset(bounded_type(p, pos.m) for p in pos.left)
-    B = frozenset(bounded_type(q, pos.m) for q in pos.right)
+    solver = _Solver(position_signature(pos), node_limit, pos.left | pos.right, pos.m)
+    A = solver.encode(bounded_type(p, pos.m) for p in pos.left)
+    B = solver.encode(bounded_type(q, pos.m) for q in pos.right)
     formula = solver.win(pos.m, pos.k, A, B)
     if formula is None:
         return DuplicatorWins(nodes=solver.nodes)
@@ -641,15 +724,15 @@ def minimal_separating(
     if max_total < 0:
         raise ValueError("budget must be non-negative")
     a, b = frozenset(a), frozenset(b)
-    solver = _Solver(position_signature(GamePosition(0, 0, a, b)), node_limit)
+    solver = _Solver(position_signature(GamePosition(0, 0, a, b)), node_limit, a | b, max_total)
     frontier: list[tuple[int, int, MLFormula]] = []
     for total in range(max_total + 1):
         for m in range(total + 1):
             k = total - m
             if any(fm <= m and fk <= k for fm, fk, _ in frontier):
                 continue
-            A = frozenset(bounded_type(p, m) for p in a)
-            B = frozenset(bounded_type(q, m) for q in b)
+            A = solver.encode(bounded_type(p, m) for p in a)
+            B = solver.encode(bounded_type(q, m) for q in b)
             formula = solver.win(m, k, A, B)
             if formula is not None:
                 frontier.append((m, k, formula))

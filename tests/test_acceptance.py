@@ -216,3 +216,20 @@ def test_criterion_10_strategy_round_trips():
     _report(10, "50 extracted separators verify and 50 rebuilt strategies win all playouts",
             ok, f"{time.perf_counter() - started:.1f}s")
     assert ok
+
+
+def test_criterion_11_minimal_frontier_at_n2():
+    started = time.perf_counter()
+    vv2 = hierarchy.vv_set(2)
+    ee2 = hierarchy.ee_set(2)
+    frontier = game.minimal_separating(vv2, ee2, 15)
+    expected = ml.parse_ml("([][]<>T | []<>[]F) & ([]<><>T | [][][]F)")
+    ok = frontier == [(12, 3, expected)]
+    chi = chromatic_number(graph_of(vv2, ee2))
+    for m, k, formula in frontier:
+        ok = ok and ml.separates(formula, vv2, ee2)
+        ok = ok and ml.ml_sizes(formula) == ml.SizeReport(m, k)
+        ok = ok and (1 << k) >= chi  # the coloring bound: D wins while 2^k < chi
+    _report(11, "the exact n=2 frontier to size 15 is one separator at (12,3)", ok,
+            f"{time.perf_counter() - started:.1f}s, frontier {[(m, k) for m, k, _ in frontier]}")
+    assert ok

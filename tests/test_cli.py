@@ -272,6 +272,13 @@ def test_experiment_input_errors(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_experiment_report_rejects_negative_node_limit(n):
+    # at n=3 no solver runs, so the report itself must check the limit
+    with pytest.raises(ValueError, match="node_limit"):
+        build_experiment_report(n, node_limit=-5)
+
+
 def test_experiment_report_checks_closed_forms():
     report = build_experiment_report(1)
     assert report.n == 1

@@ -194,18 +194,56 @@ def test_solve_node_counts_are_pinned(vv2, ee2, m, k, nodes):
 
 
 def test_solver_memo_keys_are_depth_m_classes(vv2, ee2):
-    # _Solver.win takes sides of depth-m classes and does not cut them itself;
-    # every key in the memo must therefore be a fixed point of the cut
+    # _Solver.win takes masks of depth-m classes and does not cut them itself;
+    # every class of every memo key must therefore be a fixed point of the cut
     rng = random.Random(37)
     positions = [GamePosition(3, 1, vv2, ee2)] + [random_position(rng) for _ in range(25)]
     for pos in positions:
-        solver = game._Solver(game.position_signature(pos), game.DEFAULT_NODE_LIMIT)
-        A = frozenset(bisim.bounded_type(p, pos.m) for p in pos.left)
-        B = frozenset(bisim.bounded_type(q, pos.m) for q in pos.right)
+        solver = game._Solver(
+            game.position_signature(pos), game.DEFAULT_NODE_LIMIT, pos.left | pos.right, pos.m
+        )
+        A = solver.encode(bisim.bounded_type(p, pos.m) for p in pos.left)
+        B = solver.encode(bisim.bounded_type(q, pos.m) for q in pos.right)
         solver.win(pos.m, pos.k, A, B)
         assert solver.memo
         for m, _, left, right in solver.memo:
-            assert all(bisim.truncate_type(t, m) == t for t in left | right), (pos, m)
+            classes = solver.decode(left | right)
+            assert all(bisim.truncate_type(t, m) == t for t in classes), (pos, m)
+
+
+def _oracle_frontier(oracle: VectorOracle, max_total: int) -> list[tuple[int, int]]:
+    found: list[tuple[int, int]] = []
+    for total in range(max_total + 1):
+        for m in range(total + 1):
+            k = total - m
+            if not any(fm <= m and fk <= k for fm, fk in found) and oracle.exists(m, k):
+                found.append((m, k))
+    return sorted(found)
+
+
+def test_sides_that_repeat_a_class_match_the_oracle():
+    # members of one class set one bit of a side, also where only the cut of
+    # a split makes two classes equal; the oracle sees every member as a point
+    rng = random.Random(89)
+    for _ in range(10):
+        props = random_signature(rng, 1)
+        p, q = random_pointed(rng, 3, props), random_pointed(rng, 3, props)
+        twins = frozenset([p, unfold(p, 1), unfold(p, 2)])
+        cases = [
+            (twins, frozenset([q])),  # equivalent members on one side
+            (frozenset([q]), twins),
+            (twins | {q}, frozenset([unfold(q, 2)])),  # a class on both sides
+            (twins, frozenset()),  # an empty side
+            (frozenset(), frozenset([q, unfold(q, 1)])),
+        ]
+        for left, right in cases:
+            oracle = VectorOracle(left, right, props)
+            for m in range(4):
+                for k in range(3):
+                    verdict = solve(GamePosition(m, k, left, right))
+                    assert isinstance(verdict, SpoilerWins) == oracle.exists(m, k), (m, k)
+            frontier = minimal_separating(left, right, 4)
+            assert [(m, k) for m, k, _ in frontier] == _oracle_frontier(oracle, 4)
 
 
 def test_duplicator_bisim_strategy_validation(m_empty, m_single, vv1, ee1):
