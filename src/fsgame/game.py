@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 from . import kripke
 from .bisim import TYPES, BisimWitness, _layer, bounded_type, truncate_type
-from .kripke import PointedModel, canonical_key, diamond_all, diamond_choice, successors
+from .kripke import PointedModel, canonical_key, diamond_all, successors
 from .logic import ml
 from .logic.ml import BOT, TOP, MLFormula, NegProp, Prop, eval_ml, ml_sizes, separates
 
@@ -230,13 +230,11 @@ def apply_move(pos: GamePosition, move: Move, d_choice: str | None = None) -> Ga
         _check_succ(pos, move)
         if d_choice is not None:
             raise IllegalMoveError("successor moves take no branch choice")
+        # _check_succ made the choice total and legal, so its values are the image
+        image = frozenset(move.choice.values())
         if isinstance(move, LeftSucc):
-            return GamePosition(
-                pos.m - 1, pos.k, diamond_choice(pos.left, move.choice), diamond_all(pos.right)
-            )
-        return GamePosition(
-            pos.m - 1, pos.k, diamond_all(pos.left), diamond_choice(pos.right, move.choice)
-        )
+            return GamePosition(pos.m - 1, pos.k, image, diamond_all(pos.right))
+        return GamePosition(pos.m - 1, pos.k, diamond_all(pos.left), image)
     raise IllegalMoveError(f"not a move: {move!r}")
 
 
@@ -535,57 +533,37 @@ def strategy_from_formula(
 def _strategy_for(f: MLFormula, pos: GamePosition) -> SpoilerStrategy:
     if not separates(f, pos.left, pos.right):
         raise ValueError(f"formula {f} does not separate the given sets")
-    if isinstance(f, (ml.Top, ml.Bot, Prop, NegProp)):
-        return SpoilerStrategy(pos, None, f, ())
-    if isinstance(f, ml.Or):
-        lsz, rsz = ml_sizes(f.left), ml_sizes(f.right)
-        part1 = frozenset(p for p in pos.left if eval_ml(p, f.left))
-        part2 = frozenset(p for p in pos.left if eval_ml(p, f.right))
-        move = LeftSplit(lsz.ms, lsz.cs, part1, pos.m - lsz.ms, pos.k - 1 - lsz.cs, part2)
-        return SpoilerStrategy(
-            pos,
-            move,
-            None,
-            (
-                _strategy_for(f.left, apply_move(pos, move, "left")),
-                _strategy_for(f.right, apply_move(pos, move, "right")),
-            ),
-        )
-    if isinstance(f, ml.And):
-        lsz, rsz = ml_sizes(f.left), ml_sizes(f.right)
-        part1 = frozenset(q for q in pos.right if not eval_ml(q, f.left))
-        part2 = frozenset(q for q in pos.right if not eval_ml(q, f.right))
-        move = RightSplit(lsz.ms, lsz.cs, part1, pos.m - lsz.ms, pos.k - 1 - lsz.cs, part2)
-        return SpoilerStrategy(
-            pos,
-            move,
-            None,
-            (
-                _strategy_for(f.left, apply_move(pos, move, "left")),
-                _strategy_for(f.right, apply_move(pos, move, "right")),
-            ),
-        )
-    if isinstance(f, ml.Diamond):
-        choice = {}
-        for p in _sorted_members(pos.left):
-            choice[p] = next(
-                s for s in sorted(successors(p), key=canonical_key) if eval_ml(s, f.child)
+
+    # Every child separates by construction: a split part keeps the members
+    # where its disjunct holds (or its conjunct fails), and a successor choice
+    # picks successors where the child formula holds (or fails).
+    def build(f: MLFormula, pos: GamePosition) -> SpoilerStrategy:
+        if isinstance(f, (ml.Top, ml.Bot, Prop, NegProp)):
+            return SpoilerStrategy(pos, None, f, ())
+        if isinstance(f, (ml.Or, ml.And)):
+            is_or = isinstance(f, ml.Or)
+            side = pos.left if is_or else pos.right
+            part1 = frozenset(p for p in side if eval_ml(p, f.left) == is_or)
+            part2 = frozenset(p for p in side if eval_ml(p, f.right) == is_or)
+            sz = ml_sizes(f.left)
+            split = LeftSplit if is_or else RightSplit
+            move = split(sz.ms, sz.cs, part1, pos.m - sz.ms, pos.k - 1 - sz.cs, part2)
+            children = (
+                build(f.left, apply_move(pos, move, "left")),
+                build(f.right, apply_move(pos, move, "right")),
             )
-        move = LeftSucc(choice)
-        return SpoilerStrategy(
-            pos, move, None, (_strategy_for(f.child, apply_move(pos, move, None)),)
-        )
-    if isinstance(f, ml.Box):
-        choice = {}
-        for q in _sorted_members(pos.right):
-            choice[q] = next(
-                s for s in sorted(successors(q), key=canonical_key) if not eval_ml(s, f.child)
-            )
-        move = RightSucc(choice)
-        return SpoilerStrategy(
-            pos, move, None, (_strategy_for(f.child, apply_move(pos, move, None)),)
-        )
-    raise TypeError(f"not a modal formula node: {f!r}")
+            return SpoilerStrategy(pos, move, None, children)
+        if isinstance(f, (ml.Diamond, ml.Box)):
+            is_diamond = isinstance(f, ml.Diamond)
+            choice = {}
+            for p in _sorted_members(pos.left if is_diamond else pos.right):
+                succ = sorted(successors(p), key=canonical_key)
+                choice[p] = next(s for s in succ if eval_ml(s, f.child) == is_diamond)
+            move = LeftSucc(choice) if is_diamond else RightSucc(choice)
+            return SpoilerStrategy(pos, move, None, (build(f.child, apply_move(pos, move, None)),))
+        raise TypeError(f"not a modal formula node: {f!r}")
+
+    return build(f, pos)
 
 
 def extract_formula(strategy: SpoilerStrategy) -> MLFormula:
@@ -768,11 +746,10 @@ def position_from_dict(obj: object) -> GamePosition:
 
 def verdict_to_dict(verdict: Verdict) -> dict:
     if isinstance(verdict, SpoilerWins):
-        formula = extract_formula(verdict.strategy)
-        sizes = ml_sizes(formula)
+        sizes = ml_sizes(verdict.formula)
         return {
             "winner": "S",
-            "formula": ml.print_ml(formula),
+            "formula": ml.print_ml(verdict.formula),
             "ms": sizes.ms,
             "cs": sizes.cs,
             "nodes": verdict.nodes,

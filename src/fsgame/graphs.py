@@ -9,8 +9,7 @@ responder below never loses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .bisim import n_bisimilar
@@ -70,121 +69,68 @@ def _unwrap(member: PointedModel, expected: int) -> list[str]:
     return list(targets)
 
 
+def _labels(
+    vv: frozenset[PointedModel], ee: frozenset[PointedModel]
+) -> dict[PointedModel, tuple[str, ...]]:
+    """Each member's unwrapped elements, sorted: one for a singleton join,
+    two for a pair join."""
+    if not vv:
+        raise ValueError("the vertex family must be nonempty")
+    labels = {member: tuple(_unwrap(member, 1)) for member in vv}
+    labels.update((member, tuple(sorted(_unwrap(member, 2)))) for member in ee)
+    return labels
+
+
+def _graph(
+    labels: dict[PointedModel, tuple[str, ...]],
+    vv: Iterable[PointedModel],
+    ee: Iterable[PointedModel],
+) -> Graph:
+    """The conflict graph of members whose ``labels`` are already known."""
+    vertices = frozenset(labels[member][0] for member in vv)
+    edges = frozenset(labels[member] for member in ee if vertices.issuperset(labels[member]))
+    return Graph(vertices, edges)
+
+
 def graph_of(vv: Iterable[PointedModel], ee: Iterable[PointedModel]) -> Graph:
     """The graph whose vertices unwrap the singleton joins and whose edges are
     the pairs (restricted to those vertices) present in the pair joins."""
-    vv = frozenset(vv)
-    if not vv:
-        raise ValueError("the vertex family must be nonempty")
-    vertices = {_unwrap(member, 1)[0] for member in vv}
-    edges = set()
-    for member in frozenset(ee):
-        a, b = _unwrap(member, 2)
-        if a in vertices and b in vertices:
-            edges.add(tuple(sorted((a, b))))
-    return Graph(frozenset(vertices), frozenset(edges))
+    vv, ee = frozenset(vv), frozenset(ee)
+    return _graph(_labels(vv, ee), vv, ee)
 
 
 def chromatic_number(g: Graph, *, max_vertices: int = 16) -> int:
-    """Exact chromatic number via branch and bound.
+    """Exact chromatic number: the least k for which backtracking over the
+    vertices in sorted order finds a proper k-coloring.
 
-    A saturation-greedy coloring provides the upper bound, a greedy clique the
-    lower bound; the backtracking search follows the saturation order.
+    Each vertex tries the colors used so far and then one new color, so
+    colorings that only rename colors are never tried twice.
     """
     n = len(g.vertices)
     if n > max_vertices:
         raise ValueError(f"graph has {n} vertices, over the cap of {max_vertices}")
-    if n == 0:
-        return 0
-    if not g.edges:
-        return 1
-    verts = sorted(g.vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [0] * n
+    index = {v: i for i, v in enumerate(sorted(g.vertices))}
+    earlier: list[list[int]] = [[] for _ in range(n)]
     for u, v in g.edges:
-        adj[index[u]] |= 1 << index[v]
-        adj[index[v]] |= 1 << index[u]
-    lower = _greedy_clique(adj)
-    upper = _dsatur_greedy(adj)
-    if lower == upper:
-        return upper
+        i, j = sorted((index[u], index[v]))
+        earlier[j].append(i)
+    colors = [0] * n
 
-    best = upper
-    colors = [-1] * n
+    def colorable(v: int, used: int, k: int) -> bool:
+        if v == n:
+            return True
+        taken = {colors[u] for u in earlier[v]}
+        for c in range(min(used + 1, k)):
+            if c not in taken:
+                colors[v] = c
+                if colorable(v + 1, max(used, c + 1), k):
+                    return True
+        return False
 
-    def pick() -> int:
-        choice = -1
-        choice_rank = (-1, -1)
-        for v in range(n):
-            if colors[v] != -1:
-                continue
-            sat = len({colors[u] for u in _bits(adj[v]) if colors[u] != -1})
-            rank = (sat, bin(adj[v]).count("1"))
-            if rank > choice_rank:
-                choice_rank = rank
-                choice = v
-        return choice
-
-    def backtrack(colored: int, used: int) -> None:
-        nonlocal best
-        if used >= best:
-            return
-        if colored == n:
-            best = used
-            return
-        v = pick()
-        forbidden = {colors[u] for u in _bits(adj[v])}
-        for c in range(min(used + 1, best - 1)):
-            if c in forbidden:
-                continue
-            colors[v] = c
-            backtrack(colored + 1, max(used, c + 1))
-            colors[v] = -1
-
-    backtrack(0, 0)
-    return best
-
-
-def _bits(mask: int):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
-
-
-def _greedy_clique(adj: list[int]) -> int:
-    order = sorted(range(len(adj)), key=lambda v: -bin(adj[v]).count("1"))
-    clique: list[int] = []
-    for v in order:
-        if all(adj[v] >> u & 1 for u in clique):
-            clique.append(v)
-    return len(clique)
-
-
-def _dsatur_greedy(adj: list[int]) -> int:
-    n = len(adj)
-    colors = [-1] * n
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if colors[u] == -1),
-            key=lambda u: (
-                len({colors[w] for w in _bits(adj[u]) if colors[w] != -1}),
-                bin(adj[u]).count("1"),
-            ),
-        )
-        taken = {colors[u] for u in _bits(adj[v])}
-        c = 0
-        while c in taken:
-            c += 1
-        colors[v] = c
-    return max(colors) + 1
-
-
-@lru_cache(maxsize=None)
-def _chi(g: Graph) -> int:
-    return chromatic_number(g)
+    k = 0
+    while not colorable(0, 0, k):
+        k += 1
+    return k
 
 
 def to_edge_list(g: Graph) -> str:
@@ -204,49 +150,45 @@ class StrategyInvariantBroken(RuntimeError):
 def duplicator_coloring_strategy(pos: GamePosition) -> "_ColoringResponder":
     """Second-player play for positions of (singleton-family, pair-family)
     shape, valid whenever 2**k is below the chromatic number of the graph."""
-    g = graph_of(pos.left, pos.right)
-    chi = _chi(g)
+    labels = _labels(pos.left, pos.right)
+    chi = chromatic_number(_graph(labels, pos.left, pos.right))
     if chi < 2:
         raise ValueError(f"chromatic number {chi} is below 2; no guarantee applies")
     if not _fits(pos.k, chi):
         raise ValueError(f"budget k={pos.k} is not below log2({chi})")
-    return _ColoringResponder(pos)
+    return _ColoringResponder(pos, labels)
 
 
 @dataclass
 class _ColoringResponder:
     """Branch choices that keep the chromatic bound invariant; successor moves
-    hand off to a pinned-pair responder on a duplicated model."""
+    hand off to a pinned-pair responder on a duplicated model.  ``labels``
+    holds every member's unwrapped elements, computed once for the root."""
 
     position: GamePosition
+    labels: dict[PointedModel, tuple[str, ...]]
 
     def respond(self, move: Move) -> tuple[str | None, object]:
         pos = self.position
-        if isinstance(move, LeftSplit):
-            branches = (("left", move.k1, move.left1), ("right", move.k2, move.left2))
-            for name, k_i, vv_i in branches:
-                if vv_i and _fits(k_i, _chi(graph_of(vv_i, pos.right))):
-                    nxt = apply_move(pos, move, name)
-                    return name, _ColoringResponder(nxt)
-            raise StrategyInvariantBroken("no split branch preserves the coloring bound")
-        if isinstance(move, RightSplit):
-            branches = (("left", move.k1, move.right1), ("right", move.k2, move.right2))
-            for name, k_i, ee_i in branches:
-                if _fits(k_i, _chi(graph_of(pos.left, ee_i))):
-                    nxt = apply_move(pos, move, name)
-                    return name, _ColoringResponder(nxt)
+        if isinstance(move, (LeftSplit, RightSplit)):
+            for name in ("left", "right"):
+                nxt = apply_move(pos, move, name)
+                if not nxt.left:
+                    continue
+                chi = chromatic_number(_graph(self.labels, nxt.left, nxt.right))
+                if _fits(nxt.k, chi):
+                    return name, replace(self, position=nxt)
             raise StrategyInvariantBroken("no split branch preserves the coloring bound")
         if isinstance(move, (LeftSucc, RightSucc)):
             return None, self._hand_off(move)
         raise IllegalMoveError(f"not a move: {move!r}")
 
     def _hand_off(self, move: LeftSucc | RightSucc):
-        pos = self.position
-        g = graph_of(pos.left, pos.right)
-        a, b = min(g.edges)
-        by_vertex = {_unwrap(member, 1)[0]: member for member in pos.left}
-        by_pair = {frozenset(_unwrap(member, 2)): member for member in pos.right}
-        pair_member = by_pair[frozenset((a, b))]
+        pos, labels = self.position, self.labels
+        a, b = min(_graph(labels, pos.left, pos.right).edges)
+        by_vertex = {labels[member][0]: member for member in pos.left}
+        by_pair = {labels[member]: member for member in pos.right}
+        pair_member = by_pair[(a, b)]
         nxt = apply_move(pos, move, None)
         if isinstance(move, LeftSucc):
             pin_left = move.choice[by_vertex[a]]

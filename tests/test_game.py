@@ -348,6 +348,7 @@ def test_strategy_round_trip_shrinks_sizes():
             continue
         done += 1
         formula = extract_formula(verdict.strategy)
+        assert verdict.formula == formula
         rebuilt = extract_formula(strategy_from_formula(formula, pos.left, pos.right))
         first, second = ml.ml_sizes(formula), ml.ml_sizes(rebuilt)
         assert second.ms <= first.ms and second.cs <= first.cs

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fsgame import game, hierarchy
+from fsgame import game, graphs, hierarchy
 from fsgame.game import DuplicatorWins, GamePosition, LeftSucc, RightSucc, exhaustive_playout, solve
 from fsgame.graphs import (
     Graph,
@@ -74,6 +74,15 @@ def test_chromatic_number_basics(vv2, ee2):
         [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")],
     )
     assert chromatic_number(odd_cycle) == 3
+    # Groetzsch graph (Mycielskian of the 5-cycle): triangle-free, yet chi = 4
+    rim = [(f"u{i}", f"u{(i + 1) % 5}") for i in range(5)]
+    spokes = [(f"v{i}", f"u{(i + d) % 5}") for i in range(5) for d in (1, 4)]
+    hub = [(f"v{i}", "w") for i in range(5)]
+    groetzsch = make_graph(
+        [f"u{i}" for i in range(5)] + [f"v{i}" for i in range(5)] + ["w"], rim + spokes + hub
+    )
+    assert len(groetzsch.vertices) == 11 and len(groetzsch.edges) == 20
+    assert chromatic_number(groetzsch) == 4
 
 
 def test_chromatic_number_cap():
@@ -143,9 +152,19 @@ def test_coloring_strategy_succ_handoff(vv1, ee1):
         assert exhaustive_playout(nxt)
 
 
-def test_coloring_strategy_survives_exhaustive_play(vv2, ee2):
+def test_coloring_strategy_survives_exhaustive_play(vv2, ee2, monkeypatch):
+    unwrap = graphs._unwrap
+    calls = []
+
+    def counting_unwrap(member, expected):
+        calls.append(member)
+        return unwrap(member, expected)
+
+    monkeypatch.setattr(graphs, "_unwrap", counting_unwrap)
     responder = duplicator_coloring_strategy(GamePosition(2, 1, vv2, ee2))
     assert exhaustive_playout(responder)
+    # every join member is unwrapped once, however many moves are answered
+    assert len(calls) == len(vv2) + len(ee2)
 
 
 def test_coloring_strategy_agrees_with_solver(vv2, ee2):
