@@ -2,13 +2,15 @@
 
 The workhorse is iterated signature refinement: worlds are colored first by
 their proposition set and then, round by round, by the *set* of successor
-colors.  Colors are hash-consed into integer ids shared process-wide, which
-makes depth-bounded equivalence a single integer comparison and gives the
-game solver cheap canonical keys.
+colors.  Colors are hash-consed into integer ids shared process-wide
+(``TYPES``), which makes depth-bounded equivalence a single integer comparison
+and gives the game solver cheap canonical keys.  The class maps of a model live
+in one weak entry per model and die with it; ``TYPES`` stays process-wide.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -49,15 +51,21 @@ class _TypeTable:
 TYPES = _TypeTable()
 
 
-@lru_cache(maxsize=None)
-def _layer(model: KripkeModel, depth: int) -> dict[str, int]:
-    if depth == 0:
-        return {w: TYPES.intern(model.props_at(w), frozenset()) for w in model.worlds}
-    prev = _layer(model, depth - 1)
-    return {
-        w: TYPES.intern(model.props_at(w), frozenset(prev[v] for v in model.succ(w)))
-        for w in model.worlds
-    }
+_LAYERS: weakref.WeakKeyDictionary[KripkeModel, list[dict[str, int]]] = weakref.WeakKeyDictionary()
+
+
+def _layers(model: KripkeModel, depth: int) -> list[dict[str, int]]:
+    """The class id of each world at depths 0..depth, kept as long as the model lives."""
+    layers = _LAYERS.setdefault(model, [])
+    if not layers:
+        layers.append({w: TYPES.intern(model.props_at(w), frozenset()) for w in model.worlds})
+    while len(layers) <= depth:
+        prev = layers[-1]
+        layers.append({
+            w: TYPES.intern(model.props_at(w), frozenset(prev[v] for v in model.succ(w)))
+            for w in model.worlds
+        })
+    return layers[: depth + 1]
 
 
 def bounded_type(p: PointedModel, depth: int) -> int:
@@ -68,7 +76,7 @@ def bounded_type(p: PointedModel, depth: int) -> int:
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    return _layer(p.model, depth)[p.point]
+    return _layers(p.model, depth)[depth][p.point]
 
 
 @lru_cache(maxsize=None)
@@ -111,8 +119,7 @@ class BisimWitness:
         """layers[i] relates worlds of the two models that are i-equivalent."""
         lm, rm = self.left.model, self.right.model
         out = []
-        for i in range(self.depth + 1):
-            left, right = _layer(lm, i), _layer(rm, i)
+        for left, right in zip(_layers(lm, self.depth), _layers(rm, self.depth)):
             out.append(
                 frozenset(
                     (v, v2) for v in lm.worlds for v2 in rm.worlds if left[v] == right[v2]
@@ -175,17 +182,15 @@ def quotient(p: PointedModel, depth: int | None = None) -> PointedModel:
     model = p.model
     reach = _reachable(p)
     if depth is None:
-        d = 0
+        depth = 0
         while True:
-            cur = _layer(model, d)
-            nxt = _layer(model, d + 1)
+            cur, nxt = _layers(model, depth + 1)[depth:]
             if _partition(cur, reach) == _partition(nxt, reach):
                 break
-            d += 1
-        depth = d
+            depth += 1
     elif depth < 0:
         raise ValueError("depth must be non-negative")
-    labels = _layer(model, depth)
+    labels = _layers(model, depth)[depth]
     classes: dict[int, list[str]] = {}
     for w in reach:
         classes.setdefault(labels[w], []).append(w)

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import game, graphs, hierarchy, kripke
 from . import bisim as bisim_mod
@@ -225,15 +225,7 @@ class ExperimentReport:
             raise ValueError("phi size does not match its closed form")
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "fo_sizes": self.fo_sizes,
-            "separation": self.separation,
-            "chromatic": self.chromatic,
-            "grid": self.grid,
-            "frontier": self.frontier,
-            "wall_seconds": self.wall_seconds,
-        }
+        return asdict(self)
 
 
 _GRID_CAPS = {1: (4, 2), 2: (3, 1)}

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 from . import kripke
-from .bisim import TYPES, BisimWitness, _layer, bounded_type, truncate_type
+from .bisim import TYPES, BisimWitness, _layers, bounded_type, truncate_type
 from .kripke import PointedModel, canonical_key, diamond_all, successors
 from .logic import ml
 from .logic.ml import BOT, TOP, MLFormula, NegProp, Prop, eval_ml, ml_sizes, separates
@@ -128,10 +128,19 @@ def _literals(signature: Iterable[str]) -> list[MLFormula]:
     return out
 
 
+def _literal_separates(lit: MLFormula, pos: GamePosition) -> bool:
+    """``separates`` for a literal, read off the members' valuations."""
+    if isinstance(lit, (ml.Bot, ml.Top)):
+        return not (pos.right if isinstance(lit, ml.Top) else pos.left)
+    holds = isinstance(lit, Prop)
+    left = all((p.point in p.model.valuation[lit.name]) == holds for p in pos.left)
+    return left and all((q.point in q.model.valuation[lit.name]) != holds for q in pos.right)
+
+
 def terminal_status(pos: GamePosition) -> SWin | DWin | Ongoing:
     """S wins if a literal separates; D wins at exhausted budgets or stuck positions."""
     for lit in _literals(position_signature(pos)):
-        if separates(lit, pos.left, pos.right):
+        if _literal_separates(lit, pos):
             return SWin(lit)
     if pos.m == 0 and pos.k == 0:
         return D_WIN
@@ -245,7 +254,7 @@ class _Solver:
     """Exhaustive memoized search over behavior-class positions.
 
     A side is an int bitmask over ``self.types``, the class universe of one
-    solver: every depth-d class (``bisim._layer``, d <= max_m) of every world
+    solver: every depth-d class (``bisim._layers``, d <= max_m) of every world
     of the members' models, ordered by ``TYPES.sort_key``.  Bit i stands for
     ``self.types[i]``, so reading a mask from its low bit up visits its
     classes in sort order.  Positions whose members are pairwise depth-m
@@ -274,8 +283,8 @@ class _Solver:
         self.nodes = 0
         ids: set[int] = set()
         for model in {p.model for p in members}:
-            for d in range(max_m + 1):
-                ids.update(_layer(model, d).values())
+            for layer in _layers(model, max_m):
+                ids.update(layer.values())
         self.types = sorted(ids, key=TYPES.sort_key)
         self.bit = {t: 1 << i for i, t in enumerate(self.types)}
         full = (1 << len(self.types)) - 1
@@ -640,24 +649,17 @@ class _BisimResponder:
     pin_right: PointedModel
 
     def respond(self, move: Move) -> tuple[str | None, "_BisimResponder"]:
-        pos = self.position
-        if isinstance(move, LeftSplit):
-            choice = "left" if self.pin_left in move.left1 else "right"
-            return choice, replace(self, position=apply_move(pos, move, choice))
-        if isinstance(move, RightSplit):
-            choice = "left" if self.pin_right in move.right1 else "right"
-            return choice, replace(self, position=apply_move(pos, move, choice))
-        depth = pos.m - 1
-        nxt = apply_move(pos, move, None)
-        if isinstance(move, LeftSucc):
-            new_left = move.choice[self.pin_left]
-            new_right = _matching_successor(self.pin_right, new_left, depth)
-            return None, _BisimResponder(nxt, new_left, new_right)
-        if isinstance(move, RightSucc):
-            new_right = move.choice[self.pin_right]
-            new_left = _matching_successor(self.pin_left, new_right, depth)
-            return None, _BisimResponder(nxt, new_left, new_right)
-        raise IllegalMoveError(f"not a move: {move!r}")
+        if isinstance(move, (LeftSplit, RightSplit)):
+            is_left = isinstance(move, LeftSplit)
+            pin, part1 = (self.pin_left, move.left1) if is_left else (self.pin_right, move.right1)
+            choice = "left" if pin in part1 else "right"
+            return choice, replace(self, position=apply_move(self.position, move, choice))
+        nxt = apply_move(self.position, move, None)  # a non-move raises IllegalMoveError here
+        flip = isinstance(move, RightSucc)
+        pin, other = (self.pin_right, self.pin_left) if flip else (self.pin_left, self.pin_right)
+        moved = move.choice[pin]
+        pair = (moved, _matching_successor(other, moved, nxt.m))
+        return None, _BisimResponder(nxt, *(pair[::-1] if flip else pair))
 
 
 def _matching_successor(p: PointedModel, target: PointedModel, depth: int) -> PointedModel:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -18,7 +17,7 @@ class KripkeModel:
     same worlds, edges and valuation.
     """
 
-    __slots__ = ("worlds", "edges", "valuation", "_succ", "_key", "_hash", "__weakref__")
+    __slots__ = ("worlds", "edges", "valuation", "_succ", "_key", "_hash", "_canon", "__weakref__")
 
     def __init__(
         self,
@@ -51,6 +50,7 @@ class KripkeModel:
             tuple(sorted((p, tuple(sorted(e))) for p, e in val.items())),
         )
         self._hash = hash(self._key)
+        self._canon: dict[str, str] = {}  # canonical_key of each point
 
     @property
     def prop_set(self) -> frozenset[str]:
@@ -229,10 +229,12 @@ def modelset_from_list(objs: object) -> frozenset[PointedModel]:
     return frozenset(pointed_from_dict(o) for o in objs)
 
 
-@lru_cache(maxsize=None)
 def canonical_key(p: PointedModel) -> str:
     """Stable total order on pointed models (canonical JSON encoding)."""
-    return json.dumps(pointed_to_dict(p), sort_keys=True, separators=(",", ":"))
+    keys = p.model._canon
+    if p.point not in keys:
+        keys[p.point] = json.dumps(pointed_to_dict(p), sort_keys=True, separators=(",", ":"))
+    return keys[p.point]
 
 
 def read_pointed(path: str | Path) -> PointedModel:

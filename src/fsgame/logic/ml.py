@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from ..kripke import PointedModel
@@ -104,7 +103,6 @@ def modal_depth(f: MLFormula) -> int:
     return 0
 
 
-@lru_cache(maxsize=None)
 def prop_names(f: MLFormula) -> frozenset[str]:
     """Proposition symbols occurring in the formula."""
     if isinstance(f, (Prop, NegProp)):

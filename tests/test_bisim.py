@@ -146,13 +146,30 @@ def test_bounded_type_identifies_equivalence():
 
 
 def _capped_family(props, n):
-    out = []
-    for cs in (0, 1, 2):
-        for f in ml.enumerate_ml(n * (cs + 1), cs, props):
-            if ml.modal_depth(f) <= n:
-                out.append(f)
-    out.sort(key=lambda f: (ml.ml_sizes(f).s, ml.ml_sizes(f).ms))
-    return out
+    """Every formula of modal depth <= n with at most two connectives, once,
+    in ``enumerate_ml``'s canonical form (key(g) <= key(h) under & and |).
+
+    Built by depth: ◇/□ over the formulas of depth d-1, then & and | over
+    pairs.  Depth <= n with c connectives already bounds the modal operators
+    by n * (c + 1), so no modal cap is needed."""
+    leaves = [(ml.BOT, "F"), (ml.TOP, "T")]
+    for p in sorted(props):
+        leaves += [(ml.Prop(p), p), (ml.NegProp(p), "~" + p)]
+    by_cs: list[list] = []
+    for _ in range(n + 1):
+        prev, by_cs = by_cs, [list(leaves), [], []]  # (formula, key) by connective count
+        for c, fs in enumerate(prev):
+            for g, kg in fs:
+                by_cs[c] += [(ml.Diamond(g), f"D({kg})"), (ml.Box(g), f"B({kg})")]
+        for c in (1, 2):
+            for c1 in range(c):
+                for (g, kg), (h, kh) in itertools.product(by_cs[c1], by_cs[c - 1 - c1]):
+                    if kg <= kh:
+                        by_cs[c] += [
+                            (ml.And(g, h), f"A({kg},{kh})"),
+                            (ml.Or(g, h), f"O({kg},{kh})"),
+                        ]
+    return [f for fs in by_cs for f, _ in fs]
 
 
 def test_correspondence_with_formula_agreement():

@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 
 import pytest
 
@@ -59,6 +61,41 @@ def test_terminal_status_uses_propositions(prop_model):
     other = PointedModel(prop_model.model, "c")
     status = terminal_status(GamePosition(0, 0, {prop_model}, {other}))
     assert status == SWin(ml.Prop("p"))
+    # at budget (0, 0) the status is the first literal that separates by the
+    # evaluator, or a D win; also with either side emptied
+    rng = random.Random(29)
+    for _ in range(500):
+        pos = random_position(rng)
+        for left, right in ((pos.left, pos.right), (frozenset(), pos.right), (pos.left, frozenset())):
+            zero = GamePosition(0, 0, left, right)
+            literals = game._literals(game.position_signature(zero))
+            expected = next((SWin(lit) for lit in literals if separates(lit, left, right)), D_WIN)
+            assert terminal_status(zero) == expected
+
+
+def _exercise_fresh_objects() -> list[weakref.ref]:
+    """Run every cached path on a fresh model and formula; only weak
+    references to them outlive the call."""
+    worlds = ["gc-a", "gc-b", "gc-c", "gc-d", "gc-e", "gc-f", "gc-g"]
+    edges = [("gc-a", "gc-b"), ("gc-a", "gc-c"), ("gc-c", "gc-d"), ("gc-e", "gc-b"), ("gc-g", "gc-f")]
+    model = KripkeModel(worlds, edges, {"p": {"gc-b"}})
+    a, c, e, g = (PointedModel(model, w) for w in ("gc-a", "gc-c", "gc-e", "gc-g"))
+    formula = parse_ml("<>(~p & <>T)")
+    verdict = solve(GamePosition(1, 1, {a}, {e}))
+    assert isinstance(verdict, SpoilerWins)
+    verify_strategy(verdict.strategy)
+    assert separates(formula, {a}, {e})
+    assert game.canonical_key(a) < game.canonical_key(e)
+    assert len(bisim.quotient(a).model.worlds) == 4
+    witness = bisim.n_bisimilar(c, g, 2)
+    assert exhaustive_playout(duplicator_bisim_strategy(GamePosition(2, 1, {c}, {g}), witness))
+    return [weakref.ref(model), weakref.ref(formula), weakref.ref(verdict.formula)]
+
+
+def test_no_cache_keeps_a_model_or_formula_alive():
+    refs = _exercise_fresh_objects()
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
 
 
 def test_position_rejects_mixed_signatures(m_empty, prop_model):
@@ -273,6 +310,8 @@ def test_duplicator_bisim_strategy_split_and_succ(m_empty, m_single):
     assert after.pin_left in after.position.left
     assert after.pin_right in after.position.right
     assert bisim.n_bisimilar(after.pin_left, after.pin_right, after.position.m) is not None
+    with pytest.raises(IllegalMoveError, match="not a move"):
+        responder.respond("pass")
 
 
 def test_duplicator_bisim_strategy_survives_exhaustive_play():
