@@ -5,12 +5,12 @@ their proposition set and then, round by round, by the *set* of successor
 colors.  Colors are hash-consed into integer ids shared process-wide
 (``TYPES``), which makes depth-bounded equivalence a single integer comparison
 and gives the game solver cheap canonical keys.  The class maps of a model live
-in one weak entry per model and die with it; ``TYPES`` stays process-wide.
+on the model (``KripkeModel._layers``) and die with it; ``TYPES`` stays
+process-wide.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -51,12 +51,9 @@ class _TypeTable:
 TYPES = _TypeTable()
 
 
-_LAYERS: weakref.WeakKeyDictionary[KripkeModel, list[dict[str, int]]] = weakref.WeakKeyDictionary()
-
-
 def _layers(model: KripkeModel, depth: int) -> list[dict[str, int]]:
-    """The class id of each world at depths 0..depth, kept as long as the model lives."""
-    layers = _LAYERS.setdefault(model, [])
+    """The class id of each world at depths 0..depth, kept on the model."""
+    layers = model._layers
     if not layers:
         layers.append({w: TYPES.intern(model.props_at(w), frozenset()) for w in model.worlds})
     while len(layers) <= depth:

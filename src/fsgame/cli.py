@@ -3,8 +3,8 @@ minimal-separator search, family generation, the size-gap experiment, and an
 interactive play loop.
 
 Machine-readable output is JSON on stdout, diagnostics go to stderr.  Exit
-codes: 0 ok, 1 verdict-level refusal (budget ceilings, generation guards),
-2 input error.
+codes: 0 ok, 1 verdict-level refusal (budget ceilings, generation guards,
+inputs nested deeper than the recursion limit), 2 input error.
 """
 
 from __future__ import annotations
@@ -118,15 +118,12 @@ def _cmd_minimal(args: argparse.Namespace) -> int:
     left = kripke.read_modelset(args.left)
     right = kripke.read_modelset(args.right)
     frontier = game.minimal_separating(left, right, args.max_size, node_limit=_node_limit(args))
-    _out(
-        {
-            "frontier": [
-                {"m": m, "k": k, "s": m + k, "formula": ml.print_ml(f)}
-                for m, k, f in frontier
-            ]
-        }
-    )
+    _out({"frontier": _frontier_rows(frontier)})
     return 0
+
+
+def _frontier_rows(frontier: list[tuple[int, int, ml.MLFormula]]) -> list[dict]:
+    return [{"m": m, "k": k, "s": m + k, "formula": ml.print_ml(f)} for m, k, f in frontier]
 
 
 def _fo_sizes(f: fo.FOFormula) -> dict:
@@ -284,10 +281,9 @@ def build_experiment_report(n: int, *, node_limit: int | None = None) -> Experim
                 grid.append(cell)
         budget = _FRONTIER_BUDGET.get(n)
         if budget is not None:
-            frontier = [
-                {"m": m, "k": k, "s": m + k, "formula": ml.print_ml(f)}
-                for m, k, f in game.minimal_separating(vv, ee, budget, node_limit=node_limit)
-            ]
+            frontier = _frontier_rows(
+                game.minimal_separating(vv, ee, budget, node_limit=node_limit)
+            )
 
     return ExperimentReport(
         n=n,
@@ -495,6 +491,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except _Refusal as exc:
         _err(f"refused: {exc}")
+        return 1
+    except RecursionError:
+        _err("refused: the input nests deeper than the recursion limit")
         return 1
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         _err(f"error: {exc}")

@@ -253,9 +253,11 @@ _MISS = object()
 class _Solver:
     """Exhaustive memoized search over behavior-class positions.
 
-    A side is an int bitmask over ``self.types``, the class universe of one
-    solver: every depth-d class (``bisim._layers``, d <= max_m) of every world
-    of the members' models, ordered by ``TYPES.sort_key``.  Bit i stands for
+    A solver is built for one position and answers it at any modal budget up
+    to ``pos.m``; ``root(m)`` gives its two sides at budget m.  A side is an
+    int bitmask over ``self.types``, the class universe of the solver: every
+    depth-d class (``bisim._layers``, d <= pos.m) of every world of the
+    members' models, ordered by ``TYPES.sort_key``.  Bit i stands for
     ``self.types[i]``, so reading a mask from its low bit up visits its
     classes in sort order.  Positions whose members are pairwise depth-m
     equivalent set the same bit and share memo entries, and successor choices
@@ -269,21 +271,17 @@ class _Solver:
     holds the children and the cuts of each of its classes.
     """
 
-    def __init__(
-        self,
-        signature: frozenset[str],
-        node_limit: int | None,
-        members: Iterable[PointedModel],
-        max_m: int,
-    ) -> None:
+    def __init__(self, pos: GamePosition, node_limit: int | None) -> None:
         if node_limit is not None and node_limit < 0:
             raise ValueError(f"node_limit must be non-negative, got {node_limit}")
         self.node_limit = DEFAULT_NODE_LIMIT if node_limit is None else node_limit
+        self.pos = pos
         self.memo: dict[tuple[int, int, int, int], MLFormula | None] = {}
         self.nodes = 0
+        signature = position_signature(pos)
         ids: set[int] = set()
-        for model in {p.model for p in members}:
-            for layer in _layers(model, max_m):
+        for model in {p.model for p in pos.left | pos.right}:
+            for layer in _layers(model, pos.m):
                 ids.update(layer.values())
         self.types = sorted(ids, key=TYPES.sort_key)
         self.bit = {t: 1 << i for i, t in enumerate(self.types)}
@@ -313,6 +311,11 @@ class _Solver:
         self._unions: dict[int, int] = {}
         self._partitions: dict[int, list[tuple[int, int]]] = {}
         self._cuts: dict[tuple[int, int], list[int]] = {}
+
+    def root(self, m: int) -> tuple[int, int]:
+        """The masks of the depth-m classes of the position's two sides."""
+        left = self.encode(bounded_type(p, m) for p in self.pos.left)
+        return left, self.encode(bounded_type(q, m) for q in self.pos.right)
 
     def encode(self, types: Iterable[int]) -> int:
         """The mask of a set of classes; a class repeated sets one bit."""
@@ -505,10 +508,8 @@ def solve(pos: GamePosition, *, node_limit: int | None = None) -> Verdict:
     Raises ``SearchBudgetExceeded`` (never a verdict) when the node ceiling is
     hit.  A negative ``node_limit`` is an input error (``ValueError``).
     """
-    solver = _Solver(position_signature(pos), node_limit, pos.left | pos.right, pos.m)
-    A = solver.encode(bounded_type(p, pos.m) for p in pos.left)
-    B = solver.encode(bounded_type(q, pos.m) for q in pos.right)
-    formula = solver.win(pos.m, pos.k, A, B)
+    solver = _Solver(pos, node_limit)
+    formula = solver.win(pos.m, pos.k, *solver.root(pos.m))
     if formula is None:
         return DuplicatorWins(nodes=solver.nodes)
     strategy = _strategy_for(formula, pos)
@@ -703,17 +704,14 @@ def minimal_separating(
     """
     if max_total < 0:
         raise ValueError("budget must be non-negative")
-    a, b = frozenset(a), frozenset(b)
-    solver = _Solver(position_signature(GamePosition(0, 0, a, b)), node_limit, a | b, max_total)
+    solver = _Solver(GamePosition(max_total, 0, a, b), node_limit)
     frontier: list[tuple[int, int, MLFormula]] = []
     for total in range(max_total + 1):
         for m in range(total + 1):
             k = total - m
             if any(fm <= m and fk <= k for fm, fk, _ in frontier):
                 continue
-            A = solver.encode(bounded_type(p, m) for p in a)
-            B = solver.encode(bounded_type(q, m) for q in b)
-            formula = solver.win(m, k, A, B)
+            formula = solver.win(m, k, *solver.root(m))
             if formula is not None:
                 frontier.append((m, k, formula))
     return sorted(frontier, key=lambda entry: (entry[0], entry[1]))

@@ -99,7 +99,10 @@ def graph_of(vv: Iterable[PointedModel], ee: Iterable[PointedModel]) -> Graph:
     return _graph(_labels(vv, ee), vv, ee)
 
 
-def chromatic_number(g: Graph, *, max_vertices: int = 16) -> int:
+MAX_COLORING_VERTICES = 16  # the n=3 conflict graph has 16 vertices; larger graphs are refused
+
+
+def chromatic_number(g: Graph) -> int:
     """Exact chromatic number: the least k for which backtracking over the
     vertices in sorted order finds a proper k-coloring.
 
@@ -107,8 +110,8 @@ def chromatic_number(g: Graph, *, max_vertices: int = 16) -> int:
     colorings that only rename colors are never tried twice.
     """
     n = len(g.vertices)
-    if n > max_vertices:
-        raise ValueError(f"graph has {n} vertices, over the cap of {max_vertices}")
+    if n > MAX_COLORING_VERTICES:
+        raise ValueError(f"graph has {n} vertices, over the cap of {MAX_COLORING_VERTICES}")
     index = {v: i for i, v in enumerate(sorted(g.vertices))}
     earlier: list[list[int]] = [[] for _ in range(n)]
     for u, v in g.edges:

@@ -11,13 +11,16 @@ from typing import Iterable, Mapping
 class KripkeModel:
     """Immutable finite frame with a valuation.
 
-    Worlds are opaque strings.  The proposition signature is exactly the key
-    set of the valuation, so a proposition with empty extension must still be
-    passed with an empty world set.  Two models are equal iff they have the
-    same worlds, edges and valuation.
+    Worlds are opaque strings.  The proposition signature ``prop_set`` is
+    exactly the key set of the valuation, so a proposition with empty extension
+    must still be passed with an empty world set.  Proposition names are ASCII
+    identifiers other than ``T`` and ``F``, so every literal prints back as
+    itself.  Two models are equal iff they have the same worlds, edges and
+    valuation.
     """
 
-    __slots__ = ("worlds", "edges", "valuation", "_succ", "_key", "_hash", "_canon", "__weakref__")
+    __slots__ = ("worlds", "edges", "valuation", "prop_set", "_succ", "_hash", "_canon",
+                 "_layers", "__weakref__")
 
     def __init__(
         self,
@@ -35,26 +38,21 @@ class KripkeModel:
             if u not in ws or v not in ws:
                 raise ValueError(f"edge ({u!r}, {v!r}) mentions a world outside the model")
         for p, extent in val.items():
+            if not (isinstance(p, str) and p.isascii() and p.isidentifier()) or p in ("T", "F"):
+                raise ValueError(f"proposition name {p!r} is not an identifier other than T and F")
             if not extent <= ws:
                 raise ValueError(f"valuation of {p!r} mentions worlds outside the model")
         self.worlds = ws
         self.edges = es
         self.valuation = val
+        self.prop_set = frozenset(val)
         succ: dict[str, list[str]] = {w: [] for w in ws}
         for u, v in es:
             succ[u].append(v)
         self._succ = {w: tuple(sorted(vs)) for w, vs in succ.items()}
-        self._key = (
-            tuple(sorted(ws)),
-            tuple(sorted(es)),
-            tuple(sorted((p, tuple(sorted(e))) for p, e in val.items())),
-        )
-        self._hash = hash(self._key)
+        self._hash = hash((ws, es, frozenset(val.items())))
         self._canon: dict[str, str] = {}  # canonical_key of each point
-
-    @property
-    def prop_set(self) -> frozenset[str]:
-        return frozenset(self.valuation)
+        self._layers: list[dict[str, int]] = []  # class id of each world by depth (bisim)
 
     def succ(self, world: str) -> tuple[str, ...]:
         """Successor worlds of ``world``, sorted."""
@@ -67,7 +65,11 @@ class KripkeModel:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KripkeModel):
             return NotImplemented
-        return self._key == other._key
+        return (
+            self.worlds == other.worlds
+            and self.edges == other.edges
+            and self.valuation == other.valuation
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -124,7 +126,7 @@ def diamond_choice(
     return frozenset(out)
 
 
-def join(models: Iterable[PointedModel], *, root: str | None = None) -> PointedModel:
+def join(models: Iterable[PointedModel]) -> PointedModel:
     """Attach a fresh root above a set of pointed models.
 
     The world set is the union of the member domains plus the root; the root
@@ -147,14 +149,11 @@ def join(models: Iterable[PointedModel], *, root: str | None = None) -> PointedM
                 raise ValueError(f"members disagree on shared world {w!r}")
             out_edges[w] = o
             props[w] = pr
-    if root is None:
-        root = "_root"
-        i = 0
-        while root in out_edges:
-            i += 1
-            root = f"_root{i}"
-    elif root in out_edges:
-        raise ValueError(f"root {root!r} already occurs in a member")
+    root = "_root"
+    i = 0
+    while root in out_edges:
+        i += 1
+        root = f"_root{i}"
     edges = {(w, v) for w, targets in out_edges.items() for v in targets}
     edges.update((root, pm.point) for pm in members)
     signature: set[str] = set()

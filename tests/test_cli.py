@@ -119,6 +119,46 @@ def test_solve_rejects_boolean_budget(capsys, tmp_path, m_empty, m_single):
     assert "must be integers" in err
 
 
+@pytest.mark.parametrize("name", ["T", "F", "p q", "<>", ""])
+def test_solve_rejects_proposition_names_that_do_not_print_back(capsys, tmp_path, name):
+    # with {"T": ["u"]} against {"T": ["v"]} the literal T would be reported
+    # as a separator, but the text "T" reads back as true on both sides
+    for side, world in (("left", "u"), ("right", "v")):
+        model = {"worlds": ["u", "v"], "edges": [], "valuation": {name: [world]}, "point": "u"}
+        (tmp_path / f"{side}.json").write_text(json.dumps([model]))
+    code, out, err = run(
+        capsys,
+        "solve",
+        "--left", str(tmp_path / "left.json"), "--right", str(tmp_path / "right.json"),
+        "--m", "0", "--k", "0",
+    )
+    assert code == 2 and out == ""
+    assert "proposition name" in err
+
+
+def test_eval_refuses_formulas_nested_past_the_recursion_limit(capsys, files):
+    code, out, err = run(capsys, "eval", files["m_empty"], "<>" * 600 + "T")
+    assert code == 1 and out == ""
+    assert err == "refused: the input nests deeper than the recursion limit\n"
+
+
+def test_solve_refuses_positions_nested_past_the_recursion_limit(capsys, tmp_path):
+    # the solver recurses once per modal step down a 600-world chain
+    n = 600
+    chain = {
+        "worlds": [f"w{i}" for i in range(n)],
+        "edges": [[f"w{i}", f"w{i + 1}"] for i in range(n - 1)],
+        "valuation": {},
+        "point": "w0",
+    }
+    loop = {"worlds": ["a"], "edges": [["a", "a"]], "valuation": {}, "point": "a"}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"m": n + 5, "k": 0, "left": [chain], "right": [loop]}))
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 1 and out == ""
+    assert err == "refused: the input nests deeper than the recursion limit\n"
+
+
 def test_solve_env_node_limit(capsys, files, monkeypatch):
     monkeypatch.setenv(cli.MEMO_LIMIT_ENV, "2")
     code, out, _ = run(
@@ -240,9 +280,14 @@ def test_experiment_n1(capsys):
         "ee_count": 1,
     }
     assert report["chromatic"] == {"chi": 2, "duplicator_wins_k_up_to": 0}
-    k0 = [cell for cell in report["grid"] if cell["k"] == 0]
-    assert k0 and all(cell["winner"] == "D" for cell in k0)
-    assert report["frontier"] and all(entry["k"] >= 1 for entry in report["frontier"])
+    separator = "[]<>T | [][]F"
+    d_nodes = {(0, 0): 1, (0, 1): 1, (0, 2): 1, (1, 0): 1, (1, 1): 1, (1, 2): 1,
+               (2, 0): 4, (2, 1): 14, (2, 2): 24, (3, 0): 4, (3, 1): 23, (3, 2): 42,
+               (4, 0): 4}
+    expected = [(m, k, "D", None, nodes) for (m, k), nodes in d_nodes.items()]
+    expected += [(4, 1, "S", separator, 14), (4, 2, "S", separator, 14)]
+    assert _grid_cells(report) == expected
+    assert report["frontier"] == [{"m": 4, "k": 1, "s": 5, "formula": separator}]
 
 
 def test_experiment_n2(capsys):
@@ -251,10 +296,17 @@ def test_experiment_n2(capsys):
     report = json.loads(out)
     assert report["chromatic"] == {"chi": 4, "duplicator_wins_k_up_to": 1}
     assert report["separation"]["vv_all_true"] and report["separation"]["ee_all_false"]
-    assert all(cell["winner"] == "D" for cell in report["grid"] if cell["k"] in (0, 1))
-    assert {(cell["m"], cell["k"]) for cell in report["grid"]} == {
-        (m, k) for m in range(4) for k in range(2)
-    }
+    nodes = {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1, (2, 0): 1, (2, 1): 1, (3, 0): 6, (3, 1): 98}
+    assert _grid_cells(report) == [(m, k, "D", None, n) for (m, k), n in nodes.items()]
+    assert report["frontier"] is None
+
+
+def _grid_cells(report: dict) -> list[tuple]:
+    """The solver's output in each grid cell, in report order (timings left out)."""
+    return [
+        (cell["m"], cell["k"], cell["winner"], cell["formula"], cell["nodes"])
+        for cell in report["grid"]
+    ]
 
 
 def test_experiment_n3_certificate_only(capsys):

@@ -236,12 +236,8 @@ def test_solver_memo_keys_are_depth_m_classes(vv2, ee2):
     rng = random.Random(37)
     positions = [GamePosition(3, 1, vv2, ee2)] + [random_position(rng) for _ in range(25)]
     for pos in positions:
-        solver = game._Solver(
-            game.position_signature(pos), game.DEFAULT_NODE_LIMIT, pos.left | pos.right, pos.m
-        )
-        A = solver.encode(bisim.bounded_type(p, pos.m) for p in pos.left)
-        B = solver.encode(bisim.bounded_type(q, pos.m) for q in pos.right)
-        solver.win(pos.m, pos.k, A, B)
+        solver = game._Solver(pos, None)
+        solver.win(pos.m, pos.k, *solver.root(pos.m))
         assert solver.memo
         for m, _, left, right in solver.memo:
             classes = solver.decode(left | right)

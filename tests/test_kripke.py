@@ -19,6 +19,7 @@ from fsgame.kripke import (
     pointed_to_dict,
     successors,
 )
+from fsgame.logic.ml import NegProp, Prop, parse_ml, print_ml
 from randgen import random_pointed
 
 
@@ -31,6 +32,20 @@ def test_model_validation():
         KripkeModel([1, 2])
     with pytest.raises(ValueError):
         PointedModel(KripkeModel(["a"]), "b")
+
+
+@pytest.mark.parametrize("name", ["T", "F", "p q", "<>", "", "1p", "p-q", "é", 3])
+def test_model_rejects_proposition_names_that_do_not_print_back(name):
+    # "T" would print as the constant true, "p q" as two tokens
+    with pytest.raises(ValueError, match="proposition name"):
+        KripkeModel(["a"], [], {name: ["a"]})
+
+
+@pytest.mark.parametrize("name", ["p", "q", "_", "p_1", "Tx", "FF", "t", "f"])
+def test_accepted_proposition_names_round_trip(name):
+    assert KripkeModel(["a"], [], {name: ["a"]}).prop_set == {name}
+    assert parse_ml(print_ml(Prop(name))) == Prop(name)
+    assert parse_ml(print_ml(NegProp(name))) == NegProp(name)
 
 
 def test_prop_set_is_valuation_keys():
