@@ -231,12 +231,13 @@ _FRONTIER_BUDGET = {1: 5}
 
 def build_experiment_report(n: int, *, node_limit: int | None = None) -> ExperimentReport:
     """Assemble the report; the solver grid and the separation check run only
-    for n <= 2, larger n get the chromatic certificate alone.  A negative
-    ``node_limit`` raises ``ValueError`` for every n, also where no solver runs."""
+    for n <= 2, larger n get the chromatic certificate alone.  A ``node_limit``
+    that is not a non-negative integer raises ``ValueError`` for every n, also
+    where no solver runs."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if node_limit is not None and node_limit < 0:
-        raise ValueError(f"node_limit must be non-negative, got {node_limit}")
+    if node_limit is not None and (type(node_limit) is not int or node_limit < 0):
+        raise ValueError(f"node_limit must be a non-negative integer, got {node_limit!r}")
     if n > 3:
         raise _Refusal(f"the pair family at n={n} is not enumerable")
     started = time.perf_counter()

@@ -48,6 +48,8 @@ class GamePosition:
     right: frozenset[PointedModel]
 
     def __post_init__(self) -> None:
+        if type(self.m) is not int or type(self.k) is not int:
+            raise ValueError(f"budgets must be integers, got m={self.m!r}, k={self.k!r}")
         if self.m < 0 or self.k < 0:
             raise ValueError("budgets must be non-negative")
         object.__setattr__(self, "left", frozenset(self.left))
@@ -269,11 +271,19 @@ class _Solver:
     classes already are such classes; only a split lowers the budget of a
     branch, so ``_try_splits`` is the one place that truncates.  The universe
     holds the children and the cuts of each of its classes.
+
+    With ``table=True`` the solver also keeps the truth vectors over its
+    universe of the formulas within each budget, built on demand, and answers
+    a memo miss None before trying any move when none of them separates the
+    two sides (``_separable``).  That cuts only subtrees D wins, so the search
+    order and the formulas found stay the same.  The table costs more than it
+    saves on one small solve, so only ``minimal_separating``, which asks one
+    solver a whole budget grid, uses it.
     """
 
-    def __init__(self, pos: GamePosition, node_limit: int | None) -> None:
-        if node_limit is not None and node_limit < 0:
-            raise ValueError(f"node_limit must be non-negative, got {node_limit}")
+    def __init__(self, pos: GamePosition, node_limit: int | None, *, table: bool = False) -> None:
+        if node_limit is not None and (type(node_limit) is not int or node_limit < 0):
+            raise ValueError(f"node_limit must be a non-negative integer, got {node_limit!r}")
         self.node_limit = DEFAULT_NODE_LIMIT if node_limit is None else node_limit
         self.pos = pos
         self.memo: dict[tuple[int, int, int, int], MLFormula | None] = {}
@@ -311,6 +321,14 @@ class _Solver:
         self._unions: dict[int, int] = {}
         self._partitions: dict[int, list[tuple[int, int]]] = {}
         self._cuts: dict[tuple[int, int], list[int]] = {}
+        # the truth-vector table: budget -> the vectors first reached there,
+        # vector -> the minimal budgets that reach it, and each class's bit
+        # with the mask of its children
+        self._table: dict[tuple[int, int], list[int]] | None = None
+        if table:
+            self._table = {}
+            self._reached: dict[int, list[tuple[int, int]]] = {}
+            self._kids = [(1 << i, self._union_children(1 << i)) for i in range(len(self.types))]
 
     def root(self, m: int) -> tuple[int, int]:
         """The masks of the depth-m classes of the position's two sides."""
@@ -350,6 +368,8 @@ class _Solver:
             # a shared depth-m class defeats every formula within the budget
             return None
         if m == 0 and k == 0:
+            return None
+        if self._table is not None and not self._separable(m, k, A, B):
             return None
         if m >= 1:
             if not A & self.leaves:
@@ -409,6 +429,75 @@ class _Solver:
                         continue
                     return ml.Or(f1, f2) if split_left else ml.And(f1, f2)
         return None
+
+    def _separable(self, m: int, k: int, A: int, B: int) -> bool:
+        """Whether some formula within (m, k) holds on every class of A and on
+        no class of B.
+
+        By the game theorem this is exactly whether S wins (m, k, A, B).  A
+        formula's truth vector is the set of classes it holds on, read as
+        trees whose childless classes are dead ends; that is its truth on the
+        members wherever its modal depth is at most the depth of the class,
+        and the sides at budget m are depth-m classes.
+        """
+        table = self._table
+        for kk in range(k + 1):
+            for mm in range(m + 1):
+                # every budget below (mm, kk) comes earlier in this order
+                layer = table.get((mm, kk))
+                if layer is None:
+                    layer = table[mm, kk] = self._new_vectors(mm, kk)
+                for v in layer:
+                    if A & v == A and not v & B:
+                        return True
+        return False
+
+    def _new_vectors(self, m: int, k: int) -> list[int]:
+        """The truth vectors of the formulas of size exactly (m, k) that no
+        smaller budget reaches.
+
+        Each layer combines only the new vectors of the layers below it, and
+        misses none: an operand that a smaller budget already reaches gives a
+        vector that a budget smaller than (m, k) reaches too."""
+        table = self._table
+        found: set[int] = set()
+        if m == 0 and k == 0:
+            found.update(truth for _, truth, _ in self.literals)
+        if m >= 1:
+            full = (1 << len(self.types)) - 1
+            layer = table[m - 1, k]
+            found.update(map(self._diamond, layer))
+            found.update(full ^ self._diamond(full ^ v) for v in layer)
+        for k1 in range(k):
+            k2 = k - 1 - k1
+            for m1 in range(m + 1):
+                m2 = m - m1
+                if (m1, k1) > (m2, k2):
+                    continue  # & and | commute: each unordered pair once
+                layer2 = table[m2, k2]
+                for v1 in table[m1, k1]:
+                    found.update([v1 & v2 for v2 in layer2])
+                    found.update([v1 | v2 for v2 in layer2])
+        reached = self._reached
+        new = []
+        for v in found:
+            budgets = reached.get(v)
+            if budgets is None:
+                reached[v] = [(m, k)]
+            elif all(mm > m or kk > k for mm, kk in budgets):
+                budgets.append((m, k))
+            else:
+                continue
+            new.append(v)
+        return new
+
+    def _diamond(self, v: int) -> int:
+        """The classes with a child in v."""
+        out = 0
+        for bit, kids in self._kids:
+            if kids & v:
+                out |= bit
+        return out
 
     def _child_bits(self, i: int) -> list[int]:
         kids = self._children[i]
@@ -699,12 +788,15 @@ def minimal_separating(
     """All budget-minimal (m, k) with m + k <= max_total that admit a
     separating formula, each with one such formula.
 
-    Minimality is componentwise; the search shares one memo table across the
-    whole budget grid.  A negative ``node_limit`` raises ``ValueError``.
+    Minimality is componentwise; the search shares one memo table and one
+    truth-vector table across the whole budget grid.  The table answers every
+    position where no formula within budget separates without a search, so
+    only positions S wins are expanded.  A budget or ``node_limit`` that is
+    not a non-negative integer raises ``ValueError``.
     """
-    if max_total < 0:
-        raise ValueError("budget must be non-negative")
-    solver = _Solver(GamePosition(max_total, 0, a, b), node_limit)
+    if type(max_total) is not int or max_total < 0:
+        raise ValueError(f"budget must be a non-negative integer, got {max_total!r}")
+    solver = _Solver(GamePosition(max_total, 0, a, b), node_limit, table=True)
     frontier: list[tuple[int, int, MLFormula]] = []
     for total in range(max_total + 1):
         for m in range(total + 1):

@@ -233,3 +233,20 @@ def test_criterion_11_minimal_frontier_at_n2():
     _report(11, "the exact n=2 frontier to size 15 is one separator at (12,3)", ok,
             f"{time.perf_counter() - started:.1f}s, frontier {[(m, k) for m, k, _ in frontier]}")
     assert ok
+
+
+def test_criterion_12_no_small_modal_separator_at_n3():
+    # the game theorem makes an empty frontier a lower bound: no modal
+    # formula with m + k <= 12 separates the n=3 families, while first-order
+    # formulas of size 83 (psi) and 89 (phi) do
+    started = time.perf_counter()
+    vv3 = hierarchy.vv_set(3)
+    ee3 = hierarchy.ee_set(3)
+    frontier = game.minimal_separating(vv3, ee3, 12, node_limit=1_000)
+    chi = chromatic_number(graph_of(vv3, ee3))
+    fo_sizes = (fo.fo_size(fo.make_psi(3)), fo.fo_size(fo.make_phi(3)))
+    ok = frontier == [] and chi == 16 and fo_sizes == (83, 89)
+    _report(12, "no modal separator with m+k <= 12 at n=3, alongside chi=16", ok,
+            f"{time.perf_counter() - started:.1f}s, frontier {frontier}, chi={chi}, "
+            f"first-order sizes {fo_sizes}")
+    assert ok

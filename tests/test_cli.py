@@ -331,6 +331,12 @@ def test_experiment_report_rejects_negative_node_limit(n):
         build_experiment_report(n, node_limit=-5)
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_experiment_report_rejects_non_integer_node_limit(n):
+    with pytest.raises(ValueError, match="node_limit"):
+        build_experiment_report(n, node_limit=True)
+
+
 def test_experiment_report_checks_closed_forms():
     report = build_experiment_report(1)
     assert report.n == 1

@@ -230,6 +230,87 @@ def test_solve_node_counts_are_pinned(vv2, ee2, m, k, nodes):
     assert verdict == {"winner": "D", "formula": None, "ms": None, "cs": None, "nodes": nodes}
 
 
+@pytest.mark.parametrize("budget", [True, False, 2.5, 1.0, "1", None])
+def test_non_integer_budgets_are_input_errors(vv1, ee1, budget):
+    # bool is an int subclass: True would run as budget 1 without this check
+    with pytest.raises(ValueError, match="integer"):
+        GamePosition(budget, 0, vv1, ee1)
+    with pytest.raises(ValueError, match="integer"):
+        GamePosition(0, budget, vv1, ee1)
+    with pytest.raises(ValueError, match="integer"):
+        minimal_separating(vv1, ee1, budget)
+
+
+@pytest.mark.parametrize("limit", [True, False, 2.5, "3"])
+def test_non_integer_node_limits_are_input_errors(vv1, ee1, limit):
+    with pytest.raises(ValueError, match="node_limit"):
+        solve(GamePosition(3, 1, vv1, ee1), node_limit=limit)
+    with pytest.raises(ValueError, match="node_limit"):
+        minimal_separating(vv1, ee1, 5, node_limit=limit)
+
+
+def test_vector_table_matches_the_oracle():
+    # the criterion-1 corpus: the table's verdict at the root of each budget
+    # is the oracle's, which works over worlds rather than classes
+    rng = random.Random(20240521)
+    for _ in range(300):
+        pos = random_position(rng, max_worlds=4, max_side=3, max_props=2)
+        oracle = VectorOracle(pos.left, pos.right, game.position_signature(pos))
+        solver = game._Solver(GamePosition(3, 0, pos.left, pos.right), None, table=True)
+        for m in range(4):
+            for k in range(3):
+                assert solver._separable(m, k, *solver.root(m)) == oracle.exists(m, k), (pos, m, k)
+
+
+def test_vector_table_holds_every_vector_within_budget():
+    # the solver's classes as the worlds of one model, with the children of
+    # each class as its successors: the oracle's truth vectors over these
+    # worlds are then vectors over the classes, read as trees.  A vector is
+    # within (m, k) iff the table separates it from its complement there.
+    rng = random.Random(83)
+    for _ in range(12):
+        pos = random_position(rng, max_worlds=3, max_side=3, max_props=2, m=3)
+        solver = game._Solver(pos, None, table=True)
+        names = {t: f"c{i:03}" for i, t in enumerate(solver.types)}
+        signature = game.position_signature(pos)
+        model = KripkeModel(
+            list(names.values()),
+            [(names[t], names[c]) for t in solver.types for c in bisim.TYPES.children(t)],
+            {p: [names[t] for t in solver.types if p in bisim.TYPES.props(t)] for p in signature},
+        )
+        oracle = VectorOracle([PointedModel(model, "c000")], [], signature)
+        full = (1 << len(solver.types)) - 1
+        vectors = set().union(*(oracle._cls(m, k) for m in range(4) for k in range(3)))
+        for k in range(3):
+            for m in range(4):
+                within = set().union(*(oracle._cls(mm, kk) for mm in range(m + 1) for kk in range(k + 1)))
+                for v in vectors:
+                    assert solver._separable(m, k, v, full ^ v) == (v in within), (pos, m, k, v)
+
+
+def test_minimal_separating_with_and_without_the_table(monkeypatch):
+    # the table cuts only subtrees D wins: the frontier keeps every formula,
+    # and every position the table-less search met is separable iff S won it
+    tableless = []
+
+    class TablelessSolver(game._Solver):
+        def __init__(self, pos, node_limit, *, table):
+            super().__init__(pos, node_limit)
+            tableless.append(self)
+
+    rng = random.Random(97)
+    for _ in range(100):
+        pos = random_position(rng, max_worlds=4, max_side=3, max_props=2)
+        with_table = minimal_separating(pos.left, pos.right, 6)
+        with monkeypatch.context() as patch:
+            patch.setattr(game, "_Solver", TablelessSolver)
+            assert minimal_separating(pos.left, pos.right, 6) == with_table
+        solver = tableless.pop()
+        table = game._Solver(solver.pos, None, table=True)
+        for (m, k, left, right), formula in solver.memo.items():
+            assert table._separable(m, k, left, right) == (formula is not None)
+
+
 def test_solver_memo_keys_are_depth_m_classes(vv2, ee2):
     # _Solver.win takes masks of depth-m classes and does not cut them itself;
     # every class of every memo key must therefore be a fixed point of the cut
