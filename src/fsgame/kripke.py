@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -17,10 +17,16 @@ class KripkeModel:
     identifiers other than ``T`` and ``F``, so every literal prints back as
     itself.  Two models are equal iff they have the same worlds, edges and
     valuation.
+
+    A model also keeps, filled on demand, the successor set of each world
+    (``successors``), the canonical key of each point (``canonical_key``) and
+    its class maps by depth (``bisim``); they are freed with the model.
+    Pickling keeps the content only, so these caches and the hash are rebuilt
+    in the process that loads the model.
     """
 
-    __slots__ = ("worlds", "edges", "valuation", "prop_set", "_succ", "_hash", "_canon",
-                 "_layers", "__weakref__")
+    __slots__ = ("worlds", "edges", "valuation", "prop_set", "_succ", "_hash", "_successors",
+                 "_canon", "_layers", "__weakref__")
 
     def __init__(
         self,
@@ -51,6 +57,9 @@ class KripkeModel:
             succ[u].append(v)
         self._succ = {w: tuple(sorted(vs)) for w, vs in succ.items()}
         self._hash = hash((ws, es, frozenset(val.items())))
+        # successor set of each point; None until first use, so a model never
+        # stepped through allocates nothing more
+        self._successors: dict[str, frozenset[PointedModel]] | None = None
         self._canon: dict[str, str] = {}  # canonical_key of each point
         self._layers: list[dict[str, int]] = []  # class id of each world by depth (bisim)
 
@@ -74,36 +83,61 @@ class KripkeModel:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        return KripkeModel, (self.worlds, self.edges, self.valuation)
+
     def __repr__(self) -> str:
         return f"KripkeModel({len(self.worlds)} worlds, {len(self.edges)} edges, props={sorted(self.valuation)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointedModel:
-    """A Kripke model with a distinguished evaluation point."""
+    """A Kripke model with a distinguished evaluation point.
+
+    The hash is ``hash((model, point))``, computed on first use and kept.
+    Pickling keeps the model and the point only.
+    """
 
     model: KripkeModel
     point: str
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.point not in self.model.worlds:
             raise ValueError(f"point {self.point!r} is not a world of the model")
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.model, self.point))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        return PointedModel, (self.model, self.point)
 
     def __repr__(self) -> str:
         return f"PointedModel(point={self.point!r}, {self.model!r})"
 
 
 def successors(p: PointedModel) -> frozenset[PointedModel]:
-    """All pointed models (same frame) one step along the accessibility relation."""
-    return frozenset(PointedModel(p.model, v) for v in p.model.succ(p.point))
+    """All pointed models (same frame) one step along the accessibility relation.
+
+    The set is built once per world and kept on the model.
+    """
+    model = p.model
+    cache = model._successors
+    if cache is None:
+        cache = model._successors = {}
+    succ = cache.get(p.point)
+    if succ is None:
+        succ = cache[p.point] = frozenset(PointedModel(model, v) for v in model.succ(p.point))
+    return succ
 
 
 def diamond_all(models: Iterable[PointedModel]) -> frozenset[PointedModel]:
     """Union of ``successors`` over a set of pointed models."""
-    out: set[PointedModel] = set()
-    for p in models:
-        out.update(successors(p))
-    return frozenset(out)
+    return frozenset().union(*map(successors, models))
 
 
 def diamond_choice(

@@ -34,7 +34,7 @@ from fsgame.game import (
     verdict_to_dict,
     verify_strategy,
 )
-from fsgame.kripke import KripkeModel, PointedModel, successors
+from fsgame.kripke import KripkeModel, PointedModel, diamond_all, successors
 from fsgame.logic import ml
 from fsgame.logic.ml import BOT, TOP, Box, parse_ml, separates
 from oracles import VectorOracle, separator_exists_enum
@@ -80,6 +80,8 @@ def _exercise_fresh_objects() -> list[weakref.ref]:
     edges = [("gc-a", "gc-b"), ("gc-a", "gc-c"), ("gc-c", "gc-d"), ("gc-e", "gc-b"), ("gc-g", "gc-f")]
     model = KripkeModel(worlds, edges, {"p": {"gc-b"}})
     a, c, e, g = (PointedModel(model, w) for w in ("gc-a", "gc-c", "gc-e", "gc-g"))
+    assert successors(a) is successors(PointedModel(model, "gc-a"))  # fills model._successors
+    assert len(diamond_all({a, c, e})) == 3
     formula = parse_ml("<>(~p & <>T)")
     verdict = solve(GamePosition(1, 1, {a}, {e}))
     assert isinstance(verdict, SpoilerWins)

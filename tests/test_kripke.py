@@ -1,9 +1,15 @@
 import itertools
 import json
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fsgame
 from fsgame import kripke
 from fsgame.kripke import (
     KripkeModel,
@@ -62,6 +68,80 @@ def test_successors_of_singleton(m_single, m_empty):
 def test_successors_of_join_root(m_empty, m_single):
     joined = join([m_empty, m_single])
     assert len(successors(joined)) == 2
+
+
+def test_successor_set_is_built_once_per_world():
+    model = KripkeModel(["a", "b", "c"], [("a", "b"), ("a", "c")], {"p": ["b"]})
+    p = PointedModel(model, "a")
+    assert successors(p) is successors(PointedModel(p.model, p.point))
+    assert successors(p) == {PointedModel(model, "b"), PointedModel(model, "c")}
+    assert diamond_all({p}) == successors(p)
+
+
+def test_pointed_models_over_equal_models_agree():
+    def build():
+        return KripkeModel(["a", "b", "c"], [("a", "b"), ("a", "c"), ("c", "c")], {"p": ["b"]})
+
+    first, second = build(), build()
+    assert first is not second
+    for w in ("a", "b", "c"):
+        p, q = PointedModel(first, w), PointedModel(second, w)
+        assert p == q and hash(p) == hash(q)
+        assert hash(p) == hash((p.model, p.point))
+        assert repr(p) == repr(q)
+        assert successors(p) == successors(q)
+    assert PointedModel(first, "a") != PointedModel(first, "b")
+
+
+_PICKLE_SCRIPT = """
+import pickle, sys
+from fsgame import bisim
+from fsgame.kripke import KripkeModel, PointedModel, canonical_key, successors
+
+def build():
+    return KripkeModel(["a", "b", "c"], [("a", "b"), ("b", "c")], {"p": ["c"]})
+
+if sys.argv[1] == "dump":
+    # type another model first, so that class ids here differ from a fresh process
+    other = KripkeModel(["x", "y", "z"], [("x", "y"), ("x", "z")], {"p": ["x", "y"]})
+    bisim.bounded_type(PointedModel(other, "x"), 3)
+    p = PointedModel(build(), "a")
+    hash(p), canonical_key(p), successors(p), bisim.bounded_type(p, 3)
+    with open(sys.argv[2], "wb") as fh:
+        pickle.dump([p, p.model], fh)
+else:
+    with open(sys.argv[2], "rb") as fh:
+        p, model = pickle.load(fh)
+    fresh = PointedModel(build(), "a")
+    assert model is p.model
+    assert p in {fresh} and p.model in {fresh.model}, "stale hash"
+    assert bisim.bounded_type(p, 3) == bisim.bounded_type(fresh, 3), "stale class ids"
+    assert successors(p) == successors(fresh)
+    assert canonical_key(p) == canonical_key(fresh)
+"""
+
+
+def test_pickled_models_rebuild_their_caches_where_loaded(tmp_path):
+    # hash values and class ids are only valid in the process that made them
+    src = str(Path(fsgame.__file__).resolve().parent.parent)
+    path = tmp_path / "models.pickle"
+    for mode, seed in (("dump", "1"), ("load", "2")):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _PICKLE_SCRIPT, mode, str(path)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+
+
+def test_pickling_keeps_content_only():
+    model = KripkeModel(["a", "b"], [("a", "b")], {"p": ["b"]})
+    p = PointedModel(model, "a")
+    hash(p), successors(p), canonical_key(p)
+    loaded = pickle.loads(pickle.dumps(p))
+    assert loaded == p and hash(loaded) == hash(p)
+    assert loaded.model is not model
+    assert loaded.model._successors is None and loaded.model._canon == {}
 
 
 def test_diamond_all(m_empty, vv1):
