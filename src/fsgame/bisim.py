@@ -52,17 +52,22 @@ TYPES = _TypeTable()
 
 
 def _layers(model: KripkeModel, depth: int) -> list[dict[str, int]]:
-    """The class id of each world at depths 0..depth, kept on the model."""
+    """The class id of each world at depths 0..depth, kept on the model.
+
+    The list is the model's own and may already reach deeper; callers that
+    need exactly depths 0..depth slice it."""
     layers = model._layers
-    if not layers:
-        layers.append({w: TYPES.intern(model.props_at(w), frozenset()) for w in model.worlds})
+    if layers is None:
+        base = {w: TYPES.intern(model.props_at(w), frozenset()) for w in model.worlds}
+        layers = model._layers = [base]
+    base = layers[0]  # a world's propositions are those of its depth-0 class
     while len(layers) <= depth:
         prev = layers[-1]
         layers.append({
-            w: TYPES.intern(model.props_at(w), frozenset(prev[v] for v in model.succ(w)))
+            w: TYPES.intern(TYPES.props(base[w]), frozenset(prev[v] for v in model.succ(w)))
             for w in model.worlds
         })
-    return layers[: depth + 1]
+    return layers
 
 
 def bounded_type(p: PointedModel, depth: int) -> int:
@@ -116,7 +121,8 @@ class BisimWitness:
         """layers[i] relates worlds of the two models that are i-equivalent."""
         lm, rm = self.left.model, self.right.model
         out = []
-        for left, right in zip(_layers(lm, self.depth), _layers(rm, self.depth)):
+        depth = self.depth
+        for left, right in zip(_layers(lm, depth)[: depth + 1], _layers(rm, depth)[: depth + 1]):
             out.append(
                 frozenset(
                     (v, v2) for v in lm.worlds for v2 in rm.worlds if left[v] == right[v2]
@@ -181,7 +187,7 @@ def quotient(p: PointedModel, depth: int | None = None) -> PointedModel:
     if depth is None:
         depth = 0
         while True:
-            cur, nxt = _layers(model, depth + 1)[depth:]
+            cur, nxt = _layers(model, depth + 1)[depth : depth + 2]
             if _partition(cur, reach) == _partition(nxt, reach):
                 break
             depth += 1

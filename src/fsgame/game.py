@@ -12,14 +12,15 @@ classes, so its verdicts depend only on what formulas within budget can see.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import kripke
 from .bisim import TYPES, BisimWitness, _layers, bounded_type, truncate_type
 from .kripke import PointedModel, canonical_key, diamond_all, successors
 from .logic import ml
-from .logic.ml import BOT, TOP, MLFormula, NegProp, Prop, eval_ml, ml_sizes, separates
+from .logic.ml import BOT, TOP, MLFormula, NegProp, Prop, extent, ml_sizes, separates
+from .logic.ml import eval_ml  # noqa: F401  (kept importable here: a benchmark probe site)
 
 DEFAULT_NODE_LIMIT = 10_000_000
 
@@ -140,8 +141,15 @@ def _literal_separates(lit: MLFormula, pos: GamePosition) -> bool:
 
 
 def terminal_status(pos: GamePosition) -> SWin | DWin | Ongoing:
-    """S wins if a literal separates; D wins at exhausted budgets or stuck positions."""
-    for lit in _literals(position_signature(pos)):
+    """S wins if a literal separates; D wins at exhausted budgets or stuck positions.
+
+    ``solve`` decides its root with this rule before it builds a solver."""
+    return _terminal(pos, _literals(position_signature(pos)))
+
+
+def _terminal(pos: GamePosition, literals: list[MLFormula]) -> SWin | DWin | Ongoing:
+    """``terminal_status`` with the position's literal list already made."""
+    for lit in literals:
         if _literal_separates(lit, pos):
             return SWin(lit)
     if pos.m == 0 and pos.k == 0:
@@ -282,16 +290,14 @@ class _Solver:
     """
 
     def __init__(self, pos: GamePosition, node_limit: int | None, *, table: bool = False) -> None:
-        if node_limit is not None and (type(node_limit) is not int or node_limit < 0):
-            raise ValueError(f"node_limit must be a non-negative integer, got {node_limit!r}")
-        self.node_limit = DEFAULT_NODE_LIMIT if node_limit is None else node_limit
+        self.node_limit = _node_limit(node_limit)
         self.pos = pos
         self.memo: dict[tuple[int, int, int, int], MLFormula | None] = {}
         self.nodes = 0
         signature = position_signature(pos)
         ids: set[int] = set()
         for model in {p.model for p in pos.left | pos.right}:
-            for layer in _layers(model, pos.m):
+            for layer in _layers(model, pos.m)[: pos.m + 1]:
                 ids.update(layer.values())
         self.types = sorted(ids, key=TYPES.sort_key)
         self.bit = {t: 1 << i for i, t in enumerate(self.types)}
@@ -361,6 +367,9 @@ class _Solver:
         return result
 
     def _search(self, m: int, k: int, A: int, B: int) -> MLFormula | None:
+        # ``solve`` decides its root before it builds a solver, by the rules
+        # of ``terminal_status`` (the literals, m = k = 0, and no legal move,
+        # which here finds no move) and by the shared-class test below
         for lit, truth, falsity in self.literals:
             if not (A & falsity or B & truth):
                 return lit
@@ -591,14 +600,40 @@ class DuplicatorWins:
 Verdict = SpoilerWins | DuplicatorWins
 
 
+def _node_limit(node_limit: int | None) -> int:
+    if node_limit is not None and (type(node_limit) is not int or node_limit < 0):
+        raise ValueError(f"node_limit must be a non-negative integer, got {node_limit!r}")
+    return DEFAULT_NODE_LIMIT if node_limit is None else node_limit
+
+
 def solve(pos: GamePosition, *, node_limit: int | None = None) -> Verdict:
     """Exact verdict by exhaustive memoized search.
+
+    The root is node 1 and is decided first without a solver: by
+    ``terminal_status`` (a separating literal, exhausted budgets, no legal
+    move), then by a depth-m class shared by the two sides, the test the
+    search applies to every position.  Only a root that needs a move pays for
+    the class universe of a ``_Solver``.
 
     Raises ``SearchBudgetExceeded`` (never a verdict) when the node ceiling is
     hit.  A negative ``node_limit`` is an input error (``ValueError``).
     """
+    if _node_limit(node_limit) == 0:
+        position_signature(pos)  # a mixed signature is an input error first
+        raise SearchBudgetExceeded(1)
+    status = terminal_status(pos)
+    if isinstance(status, SWin):
+        leaf = SpoilerStrategy(pos, None, status.literal, ())
+        return SpoilerWins(strategy=leaf, formula=status.literal, nodes=1)
+    if isinstance(status, DWin):
+        return DuplicatorWins(nodes=1)
+    left = {bounded_type(p, pos.m) for p in pos.left}
+    right = {bounded_type(q, pos.m) for q in pos.right}
+    if not left.isdisjoint(right):
+        # a shared depth-m class defeats every formula within the budget
+        return DuplicatorWins(nodes=1)
     solver = _Solver(pos, node_limit)
-    formula = solver.win(pos.m, pos.k, *solver.root(pos.m))
+    formula = solver.win(pos.m, pos.k, solver.encode(left), solver.encode(right))
     if formula is None:
         return DuplicatorWins(nodes=solver.nodes)
     strategy = _strategy_for(formula, pos)
@@ -630,8 +665,15 @@ def strategy_from_formula(
 
 
 def _strategy_for(f: MLFormula, pos: GamePosition) -> SpoilerStrategy:
-    if not separates(f, pos.left, pos.right):
+    # Each subformula is evaluated once per model, as the set of worlds where
+    # it holds (the separation check fills the memo); splits and successor
+    # choices then test membership.
+    extents: dict = {}
+    if not ml._separates(f, pos.left, pos.right, extents):
         raise ValueError(f"formula {f} does not separate the given sets")
+
+    def holds(g: MLFormula, p: PointedModel) -> bool:
+        return p.point in extent(g, p.model, extents)
 
     # Every child separates by construction: a split part keeps the members
     # where its disjunct holds (or its conjunct fails), and a successor choice
@@ -642,8 +684,8 @@ def _strategy_for(f: MLFormula, pos: GamePosition) -> SpoilerStrategy:
         if isinstance(f, (ml.Or, ml.And)):
             is_or = isinstance(f, ml.Or)
             side = pos.left if is_or else pos.right
-            part1 = frozenset(p for p in side if eval_ml(p, f.left) == is_or)
-            part2 = frozenset(p for p in side if eval_ml(p, f.right) == is_or)
+            part1 = frozenset(p for p in side if holds(f.left, p) == is_or)
+            part2 = frozenset(p for p in side if holds(f.right, p) == is_or)
             sz = ml_sizes(f.left)
             split = LeftSplit if is_or else RightSplit
             move = split(sz.ms, sz.cs, part1, pos.m - sz.ms, pos.k - 1 - sz.cs, part2)
@@ -657,7 +699,7 @@ def _strategy_for(f: MLFormula, pos: GamePosition) -> SpoilerStrategy:
             choice = {}
             for p in _sorted_members(pos.left if is_diamond else pos.right):
                 succ = sorted(successors(p), key=canonical_key)
-                choice[p] = next(s for s in succ if eval_ml(s, f.child) == is_diamond)
+                choice[p] = next(s for s in succ if holds(f.child, s) == is_diamond)
             move = LeftSucc(choice) if is_diamond else RightSucc(choice)
             return SpoilerStrategy(pos, move, None, (build(f.child, apply_move(pos, move, None)),))
         raise TypeError(f"not a modal formula node: {f!r}")
@@ -743,7 +785,8 @@ class _BisimResponder:
             is_left = isinstance(move, LeftSplit)
             pin, part1 = (self.pin_left, move.left1) if is_left else (self.pin_right, move.right1)
             choice = "left" if pin in part1 else "right"
-            return choice, replace(self, position=apply_move(self.position, move, choice))
+            nxt = apply_move(self.position, move, choice)
+            return choice, _BisimResponder(nxt, self.pin_left, self.pin_right)
         nxt = apply_move(self.position, move, None)  # a non-move raises IllegalMoveError here
         flip = isinstance(move, RightSucc)
         pin, other = (self.pin_right, self.pin_left) if flip else (self.pin_left, self.pin_right)
@@ -760,20 +803,24 @@ def _matching_successor(p: PointedModel, target: PointedModel, depth: int) -> Po
     raise StrategyError("pinned pair is not equivalent deeply enough to answer")
 
 
-def exhaustive_playout(responder) -> bool:
+def exhaustive_playout(responder, literals: list[MLFormula] | None = None) -> bool:
     """Play every legal first-player continuation against the responder.
 
-    Returns True iff no reachable terminal is a first-player win.
+    Returns True iff no reachable terminal is a first-player win.  Every
+    position of a game has the root's members or their successors, so the
+    root's literal list (``literals``, made here when None) serves them all.
     """
     pos = responder.position
-    status = terminal_status(pos)
+    if literals is None:
+        literals = _literals(position_signature(pos))
+    status = _terminal(pos, literals)
     if isinstance(status, SWin):
         return False
     if isinstance(status, DWin):
         return True
     for move in legal_moves(pos):
         _, nxt = responder.respond(move)
-        if not exhaustive_playout(nxt):
+        if not exhaustive_playout(nxt, literals):
             return False
     return True
 

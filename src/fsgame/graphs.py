@@ -9,7 +9,7 @@ responder below never loses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 from .bisim import n_bisimilar
@@ -180,7 +180,7 @@ class _ColoringResponder:
                     continue
                 chi = chromatic_number(_graph(self.labels, nxt.left, nxt.right))
                 if _fits(nxt.k, chi):
-                    return name, replace(self, position=nxt)
+                    return name, _ColoringResponder(nxt, self.labels)
             raise StrategyInvariantBroken("no split branch preserves the coloring bound")
         if isinstance(move, (LeftSucc, RightSucc)):
             return None, self._hand_off(move)

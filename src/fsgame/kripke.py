@@ -57,11 +57,13 @@ class KripkeModel:
             succ[u].append(v)
         self._succ = {w: tuple(sorted(vs)) for w, vs in succ.items()}
         self._hash = hash((ws, es, frozenset(val.items())))
-        # successor set of each point; None until first use, so a model never
-        # stepped through allocates nothing more
+        # None until first use, so a model never stepped through, keyed or
+        # typed allocates nothing more: the successor set of each point, the
+        # canonical_key of each point and the class id of each world by depth
+        # (bisim)
         self._successors: dict[str, frozenset[PointedModel]] | None = None
-        self._canon: dict[str, str] = {}  # canonical_key of each point
-        self._layers: list[dict[str, int]] = []  # class id of each world by depth (bisim)
+        self._canon: dict[str, str] | None = None
+        self._layers: list[dict[str, int]] | None = None
 
     def succ(self, world: str) -> tuple[str, ...]:
         """Successor worlds of ``world``, sorted."""
@@ -264,10 +266,14 @@ def modelset_from_list(objs: object) -> frozenset[PointedModel]:
 
 def canonical_key(p: PointedModel) -> str:
     """Stable total order on pointed models (canonical JSON encoding)."""
-    keys = p.model._canon
-    if p.point not in keys:
-        keys[p.point] = json.dumps(pointed_to_dict(p), sort_keys=True, separators=(",", ":"))
-    return keys[p.point]
+    model = p.model
+    keys = model._canon
+    if keys is None:
+        keys = model._canon = {}
+    key = keys.get(p.point)
+    if key is None:
+        key = keys[p.point] = json.dumps(pointed_to_dict(p), sort_keys=True, separators=(",", ":"))
+    return key
 
 
 def read_pointed(path: str | Path) -> PointedModel:

@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from ..kripke import PointedModel
+from ..kripke import KripkeModel, PointedModel
 
 
 class MLFormula:
@@ -116,44 +116,68 @@ def prop_names(f: MLFormula) -> frozenset[str]:
 
 def eval_ml(p: PointedModel, f: MLFormula) -> bool:
     """Truth of ``f`` at the distinguished point, by the usual Kripke semantics."""
-    model = p.model
-    unknown = prop_names(f) - model.prop_set
+    _check_symbols(prop_names(f), p)
+    return p.point in extent(f, p.model, {})
+
+
+def _check_symbols(names: frozenset[str], p: PointedModel) -> None:
+    """Raise ``ValueError`` unless the model's signature has every name."""
+    unknown = names - p.model.prop_set
     if unknown:
         raise ValueError(f"unknown proposition symbols: {sorted(unknown)}")
-    memo: dict[tuple[int, str], bool] = {}
 
-    def ev(node: MLFormula, w: str) -> bool:
-        key = (id(node), w)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(node, Top):
-            value = True
-        elif isinstance(node, Bot):
-            value = False
-        elif isinstance(node, Prop):
-            value = w in model.valuation[node.name]
-        elif isinstance(node, NegProp):
-            value = w not in model.valuation[node.name]
-        elif isinstance(node, And):
-            value = ev(node.left, w) and ev(node.right, w)
-        elif isinstance(node, Or):
-            value = ev(node.left, w) or ev(node.right, w)
-        elif isinstance(node, Diamond):
-            value = any(ev(node.child, v) for v in model.succ(w))
-        elif isinstance(node, Box):
-            value = all(ev(node.child, v) for v in model.succ(w))
-        else:
-            raise TypeError(f"not a modal formula node: {node!r}")
-        memo[key] = value
-        return value
 
-    return ev(f, p.point)
+def extent(f: MLFormula, model: KripkeModel, memo: dict) -> frozenset[str]:
+    """The worlds of the model where ``f`` holds.
+
+    ``memo`` keeps the extent of each subformula node on each model, keyed by
+    their identities, so the caller keeps both alive while it keeps the memo.
+    The model's signature must have every proposition of ``f``."""
+    key = (id(f), id(model))
+    out = memo.get(key)
+    if out is not None:
+        return out
+    kind = type(f)
+    if kind is Prop:
+        out = model.valuation[f.name]
+    elif kind is NegProp:
+        out = model.worlds - model.valuation[f.name]
+    elif kind is And:
+        out = extent(f.left, model, memo) & extent(f.right, model, memo)
+    elif kind is Or:
+        out = extent(f.left, model, memo) | extent(f.right, model, memo)
+    elif kind is Diamond:
+        child = extent(f.child, model, memo)
+        out = frozenset(w for w in model.worlds if not child.isdisjoint(model.succ(w)))
+    elif kind is Box:
+        child = extent(f.child, model, memo)
+        out = frozenset(w for w in model.worlds if child.issuperset(model.succ(w)))
+    elif kind is Top:
+        out = model.worlds
+    elif kind is Bot:
+        out = frozenset()
+    else:
+        raise TypeError(f"not a modal formula node: {f!r}")
+    memo[key] = out
+    return out
 
 
 def separates(f: MLFormula, a: Iterable[PointedModel], b: Iterable[PointedModel]) -> bool:
     """True iff ``f`` holds on every member of ``a`` and fails on every member of ``b``."""
-    return all(eval_ml(p, f) for p in a) and not any(eval_ml(q, f) for q in b)
+    return _separates(f, a, b, {})
+
+
+def _separates(
+    f: MLFormula, a: Iterable[PointedModel], b: Iterable[PointedModel], memo: dict
+) -> bool:
+    """``separates``, keeping in ``memo`` the extents it computes (see ``extent``)."""
+    names = prop_names(f)
+
+    def holds(p: PointedModel) -> bool:
+        _check_symbols(names, p)
+        return p.point in extent(f, p.model, memo)
+
+    return all(map(holds, a)) and not any(map(holds, b))
 
 
 class ParseError(ValueError):

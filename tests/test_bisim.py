@@ -5,6 +5,8 @@ import pytest
 
 from fsgame import hierarchy
 from fsgame.bisim import (
+    TYPES,
+    _layers,
     bounded_type,
     in_class_A,
     n_bisimilar,
@@ -34,6 +36,25 @@ def test_n_bisimilar_examples(m_empty, m_single):
     witness = n_bisimilar(m_single, m_single, 3)
     assert witness is not None
     assert all((w, w) in witness.layer(i) for i in range(4) for w in m_single.model.worlds)
+
+
+def test_class_maps_grow_in_place_on_the_model():
+    rng = random.Random(71)
+    for _ in range(20):
+        p = random_pointed(rng, 4, ("p", "q"))
+        model = p.model
+        assert model._layers is None
+        deep = bounded_type(p, 3)
+        layers = model._layers
+        assert len(layers) == 4
+        # a shallower query reads the same list and builds nothing
+        assert bounded_type(p, 1) == layers[1][p.point] and model._layers is layers
+        assert _layers(model, 2) is layers
+        assert len(layers) == 4 and layers[3][p.point] == deep
+        # every depth keeps the propositions of the world
+        for w in model.worlds:
+            for d in range(4):
+                assert TYPES.props(layers[d][w]) == model.props_at(w)
 
 
 def test_witness_layers_are_nested_and_valid(m_empty, m_single):

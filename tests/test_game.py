@@ -2,6 +2,7 @@ import gc
 import json
 import random
 import weakref
+from dataclasses import dataclass
 
 import pytest
 
@@ -200,6 +201,87 @@ def test_strategy_from_formula_rejects_non_separator(m_empty):
         strategy_from_formula(TOP, {m_empty}, {m_empty})
 
 
+def _strategy_by_eval(f, pos: GamePosition) -> game.SpoilerStrategy:
+    """The strategy for a separating formula, built member by member with
+    ``eval_ml``."""
+    if isinstance(f, (ml.Top, ml.Bot, ml.Prop, ml.NegProp)):
+        return game.SpoilerStrategy(pos, None, f, ())
+    if isinstance(f, (ml.Or, ml.And)):
+        is_or = isinstance(f, ml.Or)
+        side = pos.left if is_or else pos.right
+        part1 = frozenset(p for p in side if ml.eval_ml(p, f.left) == is_or)
+        part2 = frozenset(p for p in side if ml.eval_ml(p, f.right) == is_or)
+        sz = ml.ml_sizes(f.left)
+        split = LeftSplit if is_or else RightSplit
+        move = split(sz.ms, sz.cs, part1, pos.m - sz.ms, pos.k - 1 - sz.cs, part2)
+        children = (
+            _strategy_by_eval(f.left, apply_move(pos, move, "left")),
+            _strategy_by_eval(f.right, apply_move(pos, move, "right")),
+        )
+        return game.SpoilerStrategy(pos, move, None, children)
+    is_diamond = isinstance(f, ml.Diamond)
+    choice = {}
+    for p in sorted(pos.left if is_diamond else pos.right, key=game.canonical_key):
+        succ = sorted(successors(p), key=game.canonical_key)
+        choice[p] = next(s for s in succ if ml.eval_ml(s, f.child) == is_diamond)
+    move = LeftSucc(choice) if is_diamond else RightSucc(choice)
+    child = _strategy_by_eval(f.child, apply_move(pos, move, None))
+    return game.SpoilerStrategy(pos, move, None, (child,))
+
+
+def test_strategies_match_the_evaluator(vv2, ee2):
+    witness = parse_ml("([][]<>T | []<>[]F) & ([]<><>T | [][][]F)")  # the n=2 frontier
+    cases = [(witness, vv2, ee2)]
+    rng = random.Random(20240521)
+    for _ in range(150):
+        pos = random_position(rng, max_worlds=4, max_side=3, max_props=2)
+        verdict = solve(GamePosition(3, 2, pos.left, pos.right))
+        if isinstance(verdict, SpoilerWins):
+            cases.append((verdict.formula, pos.left, pos.right))
+    # every small formula that separates, shared subformula nodes included
+    rng = random.Random(61)
+    for _ in range(20):
+        pos = random_position(rng, max_worlds=3, max_side=2, max_props=1)
+        signature = game.position_signature(pos)
+        for f in ml.enumerate_ml(2, 1, signature):
+            for g in (f, ml.Or(f, f), ml.And(f, f)):
+                if separates(g, pos.left, pos.right):
+                    cases.append((g, pos.left, pos.right))
+    assert len(cases) > 500
+    for f, left, right in cases:
+        sizes = ml.ml_sizes(f)
+        pos = GamePosition(sizes.ms, sizes.cs, left, right)
+        strategy = strategy_from_formula(f, left, right)
+        assert strategy == _strategy_by_eval(f, pos), f
+        verify_strategy(strategy)
+
+
+def test_strategy_from_formula_checks_symbols_like_separates(m_empty, m_single, prop_model):
+    # mixed signatures: each member is checked where ``separates`` meets it
+    only_q = PointedModel(prop_model.model, "c")
+    cases = [
+        (ml.Prop("p"), {prop_model}, {m_empty}),  # m_empty has no p
+        (ml.Prop("p"), {only_q}, {m_empty}),  # fails on the left before that
+        (ml.Diamond(TOP), {prop_model}, {m_empty}),  # no symbols: separates
+        (ml.Or(ml.Prop("q"), Box(BOT)), {m_empty, only_q}, frozenset()),
+        (ml.Prop("r"), {prop_model}, frozenset()),
+        (Box(BOT), {m_single}, {m_empty}),
+    ]
+    for f, left, right in cases:
+        try:
+            expected = separates(f, left, right)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match="unknown proposition") as raised:
+                strategy_from_formula(f, left, right)
+            assert str(raised.value) == str(exc)
+            continue
+        if expected:
+            verify_strategy(strategy_from_formula(f, left, right))
+        else:
+            with pytest.raises(ValueError, match="does not separate"):
+                strategy_from_formula(f, left, right)
+
+
 def test_verify_strategy_catches_tampering(m_empty, m_single):
     strategy = strategy_from_formula(Box(BOT), {m_empty}, {m_single})
     broken = game.SpoilerStrategy(strategy.position, None, TOP, ())
@@ -249,6 +331,87 @@ def test_non_integer_node_limits_are_input_errors(vv1, ee1, limit):
         solve(GamePosition(3, 1, vv1, ee1), node_limit=limit)
     with pytest.raises(ValueError, match="node_limit"):
         minimal_separating(vv1, ee1, 5, node_limit=limit)
+
+
+def _searched_verdict(pos: GamePosition) -> dict:
+    """``verdict_to_dict`` of the full search from the root, with no root
+    decision before the solver."""
+    solver = game._Solver(pos, None)
+    formula = solver.win(pos.m, pos.k, *solver.root(pos.m))
+    if formula is None:
+        return verdict_to_dict(DuplicatorWins(nodes=solver.nodes))
+    return verdict_to_dict(SpoilerWins(strategy=None, formula=formula, nodes=solver.nodes))
+
+
+def _stuck_pair() -> tuple[frozenset, frozenset]:
+    # each side holds a world without successors and the sides share no
+    # class past depth 0, and no literal separates them
+    model = KripkeModel(["a", "b", "c", "d"], [("b", "a"), ("d", "c")], {"p": ["a", "d"]})
+    a, b, c, d = (PointedModel(model, w) for w in "abcd")
+    return frozenset([a, b]), frozenset([c, d])
+
+
+def test_root_decision_matches_the_search(monkeypatch, m_empty, m_single):
+    built = []
+
+    class CountingSolver(game._Solver):
+        def __init__(self, pos, node_limit, *, table=False):
+            super().__init__(pos, node_limit, table=table)
+            built.append(pos)
+
+    rng = random.Random(20240521)
+    pairs = [random_position(rng, max_worlds=4, max_side=3, max_props=2) for _ in range(300)]
+    pairs = [(pos.left, pos.right) for pos in pairs]
+    pairs += [
+        (frozenset(), frozenset()),
+        (frozenset(), {m_single}),
+        (frozenset([m_empty, m_single]), frozenset([m_single])),  # a shared class
+        _stuck_pair(),
+    ]
+    decided = {"literal": 0, "terminal": 0, "shared": 0}
+    for left, right in pairs:
+        for m in range(4):
+            for k in range(3):
+                pos = GamePosition(m, k, left, right)
+                expected = _searched_verdict(pos)
+                with monkeypatch.context() as patch:
+                    patch.setattr(game, "_Solver", CountingSolver)
+                    verdict = solve(pos)
+                assert verdict_to_dict(verdict) == expected, (pos, expected)
+                status = terminal_status(pos)
+                shared = {bisim.bounded_type(p, m) for p in left} & {
+                    bisim.bounded_type(q, m) for q in right
+                }
+                if isinstance(status, SWin):
+                    decided["literal"] += 1
+                    assert verdict.strategy == game._strategy_for(status.literal, pos)
+                elif status == D_WIN or shared:
+                    decided["terminal" if status == D_WIN else "shared"] += 1
+                else:
+                    assert built.pop() is pos
+                    continue
+                assert verdict_to_dict(verdict)["nodes"] == 1 and not built, pos
+    assert min(decided.values()) > 0, decided
+    stuck = GamePosition(2, 0, *_stuck_pair())
+    assert terminal_status(stuck) == D_WIN and verdict_to_dict(solve(stuck))["nodes"] == 1
+
+
+def test_root_is_charged_before_it_is_decided(m_empty, m_single, prop_model):
+    literal = GamePosition(2, 1, {prop_model}, {PointedModel(prop_model.model, "c")})
+    shared = GamePosition(2, 1, {m_empty, m_single}, {m_single})
+    for pos in (literal, shared):
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            solve(pos, node_limit=0)
+        assert exc.value.nodes == 1
+        assert verdict_to_dict(solve(pos, node_limit=1))["nodes"] == 1
+        for limit in (-1, True, 2.5, "1"):
+            with pytest.raises(ValueError, match="node_limit"):
+                solve(pos, node_limit=limit)
+    # a mixed signature is an input error before any budget is charged
+    mixed = GamePosition(1, 1, {m_empty}, {prop_model})
+    for limit in (0, 1, None):
+        with pytest.raises(ValueError, match="signature"):
+            solve(mixed, node_limit=limit)
 
 
 def test_vector_table_matches_the_oracle():
@@ -404,6 +567,54 @@ def test_duplicator_bisim_strategy_survives_exhaustive_play():
         pos = GamePosition(2, 1, frozenset([p, extra_l]), frozenset([q, extra_r]))
         responder = duplicator_bisim_strategy(pos, bisim.n_bisimilar(p, q, 2))
         assert exhaustive_playout(responder)
+
+
+@dataclass
+class _SecondBranch:
+    """A responder that always takes the second branch of a split."""
+
+    position: GamePosition
+
+    def respond(self, move):
+        choice = "right" if isinstance(move, (LeftSplit, RightSplit)) else None
+        return choice, _SecondBranch(apply_move(self.position, move, choice))
+
+
+def test_playout_reads_terminals_with_the_root_literals(monkeypatch):
+    # a playout makes the literal list once; every position it reaches gets
+    # the status that ``terminal_status`` gives it, from its own list
+    seen = []
+    terminal = game._terminal
+
+    def checked(pos, literals):
+        status = terminal(pos, literals)
+        assert status == terminal(pos, game._literals(game.position_signature(pos))), pos
+        seen.append(status)
+        return status
+
+    monkeypatch.setattr(game, "_terminal", checked)
+    rng = random.Random(53)
+    for _ in range(6):
+        props = random_signature(rng, 2)
+        p = random_pointed(rng, 3, props)
+        q = unfold(p, 2)
+        pos = GamePosition(2, 1, frozenset([p, random_pointed(rng, 3, props)]), frozenset([q]))
+        assert exhaustive_playout(duplicator_bisim_strategy(pos, bisim.n_bisimilar(p, q, 2)))
+    for _ in range(40):
+        pos = random_position(rng, m=2, k=1)
+        exhaustive_playout(_SecondBranch(pos))
+    assert len(seen) > 100
+    # past the root too, where the literals of the propositions decide
+    decided = [s.literal for s in seen if isinstance(s, SWin)]
+    assert sum(isinstance(lit, ml.Prop | ml.NegProp) for lit in decided) > 10
+    # a side emptied by a split leaves the literals of the other side or none
+    for _ in range(200):
+        pos = random_position(rng)
+        literals = game._literals(game.position_signature(pos))
+        empty = frozenset()
+        for left, right in ((empty, pos.right), (pos.left, empty), (empty, empty)):
+            part = GamePosition(pos.m, pos.k, left, right)
+            assert terminal(part, literals) == terminal_status(part)
 
 
 def test_minimal_separating_examples(m_empty, m_single, vv1, ee1):

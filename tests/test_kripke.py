@@ -78,6 +78,15 @@ def test_successor_set_is_built_once_per_world():
     assert diamond_all({p}) == successors(p)
 
 
+def test_caches_are_allocated_on_first_use():
+    model = KripkeModel(["a", "b"], [("a", "b")], {"p": ["b"]})
+    assert model._successors is None and model._canon is None and model._layers is None
+    a, b = PointedModel(model, "a"), PointedModel(model, "b")
+    key = canonical_key(a)
+    assert model._canon == {"a": key} and canonical_key(PointedModel(model, "a")) is key
+    assert canonical_key(b) != key and model._successors is None and model._layers is None
+
+
 def test_pointed_models_over_equal_models_agree():
     def build():
         return KripkeModel(["a", "b", "c"], [("a", "b"), ("a", "c"), ("c", "c")], {"p": ["b"]})
@@ -141,7 +150,7 @@ def test_pickling_keeps_content_only():
     loaded = pickle.loads(pickle.dumps(p))
     assert loaded == p and hash(loaded) == hash(p)
     assert loaded.model is not model
-    assert loaded.model._successors is None and loaded.model._canon == {}
+    assert loaded.model._successors is None and loaded.model._canon is None
 
 
 def test_diamond_all(m_empty, vv1):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fsgame import bisim
+from fsgame.kripke import PointedModel
 from fsgame.logic import ml
 from fsgame.logic.ml import (
     BOT,
@@ -62,6 +63,39 @@ def test_separates_examples(m_empty, m_single):
     assert separates(BOT, frozenset(), {m_single})
     assert separates(Box(BOT), {m_empty}, {m_single})
     assert not separates(TOP, {m_empty}, {m_empty})
+
+
+def test_separates_checks_symbols_per_member(m_empty, prop_model):
+    with pytest.raises(ValueError, match="unknown proposition"):
+        separates(Prop("p"), {prop_model}, {m_empty})
+    # a left member where the formula fails settles it before the right is read
+    only_q = PointedModel(prop_model.model, "c")
+    assert not separates(Prop("p"), {only_q}, {m_empty})
+    assert separates(Diamond(Prop("q")), {prop_model}, {only_q})
+
+
+def test_eval_matches_the_pointwise_semantics():
+    # the extent of every subformula, read at each world, against a direct
+    # recursion over the worlds
+    def holds(model, f, w):
+        if isinstance(f, (And, Or)):
+            parts = (holds(model, f.left, w), holds(model, f.right, w))
+            return all(parts) if isinstance(f, And) else any(parts)
+        if isinstance(f, (Diamond, Box)):
+            values = [holds(model, f.child, v) for v in model.succ(w)]
+            return any(values) if isinstance(f, Diamond) else all(values)
+        if isinstance(f, (Prop, NegProp)):
+            return (w in model.valuation[f.name]) == isinstance(f, Prop)
+        return f == TOP
+
+    rng = random.Random(41)
+    formulas = list(enumerate_ml(2, 1, ("p",)))
+    for _ in range(10):
+        p = random_pointed(rng, 4, ("p",))
+        for f in formulas[::7]:
+            for w in sorted(p.model.worlds):
+                point = PointedModel(p.model, w)
+                assert eval_ml(point, f) == holds(p.model, f, w), (f, w)
 
 
 def test_parse_examples():
