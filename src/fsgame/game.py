@@ -26,10 +26,15 @@ DEFAULT_NODE_LIMIT = 10_000_000
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """The solver ran out of its node budget; this is not a verdict."""
+    """The solver ran out of its node budget; this is not a verdict.
+
+    ``nodes`` counts the search states explored plus the truth vectors the
+    solver's table kept, the two kinds of work the budget bounds."""
 
     def __init__(self, nodes: int) -> None:
-        super().__init__(f"search budget exceeded after {nodes} explored states")
+        super().__init__(
+            f"search budget exceeded after {nodes} nodes (search states plus table vectors)"
+        )
         self.nodes = nodes
 
 
@@ -280,16 +285,23 @@ class _Solver:
     branch, so ``_try_splits`` is the one place that truncates.  The universe
     holds the children and the cuts of each of its classes.
 
-    With ``table=True`` the solver also keeps the truth vectors over its
-    universe of the formulas within each budget, built on demand, and answers
-    a memo miss None before trying any move when none of them separates the
-    two sides (``_separable``).  That cuts only subtrees D wins, so the search
-    order and the formulas found stay the same.  The table costs more than it
-    saves on one small solve, so only ``minimal_separating``, which asks one
-    solver a whole budget grid, uses it.
+    With a table the solver also keeps the truth vectors over its universe of
+    the formulas within each budget, built on demand, and answers a memo miss
+    None before trying any move when none of them separates the two sides
+    (``_separable``).  That cuts only subtrees D wins, so the search order and
+    the formulas found stay the same.  Each vector the table keeps is charged
+    as one node, so ``node_limit`` bounds the table too and ``nodes`` counts
+    search states plus table vectors.  ``table=None`` builds the table when
+    the root would split more ways than the universe has classes: k >= 1 and
+    2^(a-1) + 2^(b-1) > |universe|, for a and b distinct depth-m classes on
+    the root's two sides.  Below that a small solve pays more for the table
+    than it saves.  ``minimal_separating``, which asks one solver a whole
+    budget grid, always builds it.
     """
 
-    def __init__(self, pos: GamePosition, node_limit: int | None, *, table: bool = False) -> None:
+    def __init__(
+        self, pos: GamePosition, node_limit: int | None, *, table: bool | None = None
+    ) -> None:
         self.node_limit = _node_limit(node_limit)
         self.pos = pos
         self.memo: dict[tuple[int, int, int, int], MLFormula | None] = {}
@@ -327,6 +339,15 @@ class _Solver:
         self._unions: dict[int, int] = {}
         self._partitions: dict[int, list[tuple[int, int]]] = {}
         self._cuts: dict[tuple[int, int], list[int]] = {}
+        if table is None:
+            # a side has no more classes than members, so the members bound
+            # the split count, and only a root that passes that bound is typed
+            size = len(self.types)
+            table = (
+                pos.k >= 1
+                and _splits(len(pos.left), len(pos.right)) > size
+                and _splits(*(side.bit_count() for side in self.root(pos.m))) > size
+            )
         # the truth-vector table: budget -> the vectors first reached there,
         # vector -> the minimal budgets that reach it, and each class's bit
         # with the mask of its children
@@ -467,16 +488,21 @@ class _Solver:
 
         Each layer combines only the new vectors of the layers below it, and
         misses none: an operand that a smaller budget already reaches gives a
-        vector that a budget smaller than (m, k) reaches too."""
+        vector that a budget smaller than (m, k) reaches too.  Each vector
+        kept is charged as one node, and the limit is checked after the
+        literals, after the modal step and after each operand row of a
+        product, so one large layer cannot run far past it."""
         table = self._table
-        found: set[int] = set()
+        met: set[int] = set()  # the candidates of this layer so far
+        new: list[int] = []
         if m == 0 and k == 0:
-            found.update(truth for _, truth, _ in self.literals)
+            self._keep(m, k, {truth for _, truth, _ in self.literals}, met, new)
         if m >= 1:
             full = (1 << len(self.types)) - 1
             layer = table[m - 1, k]
-            found.update(map(self._diamond, layer))
+            found = set(map(self._diamond, layer))
             found.update(full ^ self._diamond(full ^ v) for v in layer)
+            self._keep(m, k, found, met, new)
         for k1 in range(k):
             k2 = k - 1 - k1
             for m1 in range(m + 1):
@@ -485,10 +511,18 @@ class _Solver:
                     continue  # & and | commute: each unordered pair once
                 layer2 = table[m2, k2]
                 for v1 in table[m1, k1]:
-                    found.update([v1 & v2 for v2 in layer2])
-                    found.update([v1 | v2 for v2 in layer2])
+                    row = {v1 & v2 for v2 in layer2}
+                    row.update([v1 | v2 for v2 in layer2])
+                    self._keep(m, k, row, met, new)
+        return new
+
+    def _keep(self, m: int, k: int, found: set[int], met: set[int], new: list[int]) -> None:
+        """Append to ``new`` the candidates of layer (m, k) not met before
+        that no smaller budget reaches, charging one node for each."""
+        found -= met
+        met |= found
         reached = self._reached
-        new = []
+        kept = len(new)
         for v in found:
             budgets = reached.get(v)
             if budgets is None:
@@ -498,7 +532,9 @@ class _Solver:
             else:
                 continue
             new.append(v)
-        return new
+        self.nodes += len(new) - kept
+        if self.nodes > self.node_limit:
+            raise SearchBudgetExceeded(self.nodes)
 
     def _diamond(self, v: int) -> int:
         """The classes with a child in v."""
@@ -560,6 +596,12 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _splits(a: int, b: int) -> int:
+    """How many ways a split can cut two sides of a and b classes:
+    2^(a-1) + 2^(b-1), where an empty side adds none."""
+    return ((1 << a) >> 1) + ((1 << b) >> 1)
+
+
 def _choice_images(options: list[list[int]]) -> list[int]:
     """Every distinct successor image of a side, given each member's child
     bits in order: one child per member, in the order of their product."""
@@ -613,10 +655,14 @@ def solve(pos: GamePosition, *, node_limit: int | None = None) -> Verdict:
     ``terminal_status`` (a separating literal, exhausted budgets, no legal
     move), then by a depth-m class shared by the two sides, the test the
     search applies to every position.  Only a root that needs a move pays for
-    the class universe of a ``_Solver``.
+    the class universe of a ``_Solver``.  That solver keeps the truth-vector
+    table when the root would split more ways than the universe has classes
+    (``_Solver``'s rule); the table answers every subtree D wins without a
+    search, and the verdict's ``nodes`` then counts the table's vectors too.
 
     Raises ``SearchBudgetExceeded`` (never a verdict) when the node ceiling is
-    hit.  A negative ``node_limit`` is an input error (``ValueError``).
+    hit; it bounds search states and table vectors together.  A negative
+    ``node_limit`` is an input error (``ValueError``).
     """
     if _node_limit(node_limit) == 0:
         position_signature(pos)  # a mixed signature is an input error first
@@ -671,40 +717,47 @@ def _strategy_for(f: MLFormula, pos: GamePosition) -> SpoilerStrategy:
     extents: dict = {}
     if not ml._separates(f, pos.left, pos.right, extents):
         raise ValueError(f"formula {f} does not separate the given sets")
+    return _build_strategy(f, pos, extents)
 
-    def holds(g: MLFormula, p: PointedModel) -> bool:
-        return p.point in extent(g, p.model, extents)
 
-    # Every child separates by construction: a split part keeps the members
-    # where its disjunct holds (or its conjunct fails), and a successor choice
-    # picks successors where the child formula holds (or fails).
-    def build(f: MLFormula, pos: GamePosition) -> SpoilerStrategy:
-        if isinstance(f, (ml.Top, ml.Bot, Prop, NegProp)):
-            return SpoilerStrategy(pos, None, f, ())
-        if isinstance(f, (ml.Or, ml.And)):
-            is_or = isinstance(f, ml.Or)
-            side = pos.left if is_or else pos.right
-            part1 = frozenset(p for p in side if holds(f.left, p) == is_or)
-            part2 = frozenset(p for p in side if holds(f.right, p) == is_or)
-            sz = ml_sizes(f.left)
-            split = LeftSplit if is_or else RightSplit
-            move = split(sz.ms, sz.cs, part1, pos.m - sz.ms, pos.k - 1 - sz.cs, part2)
-            children = (
-                build(f.left, apply_move(pos, move, "left")),
-                build(f.right, apply_move(pos, move, "right")),
-            )
-            return SpoilerStrategy(pos, move, None, children)
-        if isinstance(f, (ml.Diamond, ml.Box)):
-            is_diamond = isinstance(f, ml.Diamond)
-            choice = {}
-            for p in _sorted_members(pos.left if is_diamond else pos.right):
-                succ = sorted(successors(p), key=canonical_key)
-                choice[p] = next(s for s in succ if holds(f.child, s) == is_diamond)
-            move = LeftSucc(choice) if is_diamond else RightSucc(choice)
-            return SpoilerStrategy(pos, move, None, (build(f.child, apply_move(pos, move, None)),))
-        raise TypeError(f"not a modal formula node: {f!r}")
+def _build_strategy(f: MLFormula, pos: GamePosition, extents: dict) -> SpoilerStrategy:
+    """The strategy of a formula that separates ``pos``, with the extents memo
+    of ``ml.extent``.  A plain recursion: a nested builder that called itself
+    would tie a reference cycle that keeps the memo alive until the cyclic
+    collector runs.
 
-    return build(f, pos)
+    Every child separates by construction: a split part keeps the members
+    where its disjunct holds (or its conjunct fails), and a successor choice
+    picks successors where the child formula holds (or fails)."""
+    if isinstance(f, (ml.Top, ml.Bot, Prop, NegProp)):
+        return SpoilerStrategy(pos, None, f, ())
+    if isinstance(f, (ml.Or, ml.And)):
+        is_or = isinstance(f, ml.Or)
+        side = pos.left if is_or else pos.right
+        part1 = frozenset(p for p in side if _holds(f.left, p, extents) == is_or)
+        part2 = frozenset(p for p in side if _holds(f.right, p, extents) == is_or)
+        sz = ml_sizes(f.left)
+        split = LeftSplit if is_or else RightSplit
+        move = split(sz.ms, sz.cs, part1, pos.m - sz.ms, pos.k - 1 - sz.cs, part2)
+        children = (
+            _build_strategy(f.left, apply_move(pos, move, "left"), extents),
+            _build_strategy(f.right, apply_move(pos, move, "right"), extents),
+        )
+        return SpoilerStrategy(pos, move, None, children)
+    if isinstance(f, (ml.Diamond, ml.Box)):
+        is_diamond = isinstance(f, ml.Diamond)
+        choice = {}
+        for p in _sorted_members(pos.left if is_diamond else pos.right):
+            succ = sorted(successors(p), key=canonical_key)
+            choice[p] = next(s for s in succ if _holds(f.child, s, extents) == is_diamond)
+        move = LeftSucc(choice) if is_diamond else RightSucc(choice)
+        child = _build_strategy(f.child, apply_move(pos, move, None), extents)
+        return SpoilerStrategy(pos, move, None, (child,))
+    raise TypeError(f"not a modal formula node: {f!r}")
+
+
+def _holds(f: MLFormula, p: PointedModel, extents: dict) -> bool:
+    return p.point in extent(f, p.model, extents)
 
 
 def extract_formula(strategy: SpoilerStrategy) -> MLFormula:

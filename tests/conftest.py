@@ -43,6 +43,16 @@ def ee2():
     return hierarchy.ee_set(2)
 
 
+@pytest.fixture(scope="session")
+def vv3():
+    return hierarchy.vv_set(3)
+
+
+@pytest.fixture(scope="session")
+def ee3():
+    return hierarchy.ee_set(3)
+
+
 @pytest.fixture
 def prop_model() -> PointedModel:
     model = KripkeModel(

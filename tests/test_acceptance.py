@@ -242,7 +242,8 @@ def test_criterion_12_no_small_modal_separator_at_n3():
     started = time.perf_counter()
     vv3 = hierarchy.vv_set(3)
     ee3 = hierarchy.ee_set(3)
-    frontier = game.minimal_separating(vv3, ee3, 12, node_limit=1_000)
+    # the budget counts table vectors too: 91 search states plus 7,948 vectors
+    frontier = game.minimal_separating(vv3, ee3, 12, node_limit=10_000)
     chi = chromatic_number(graph_of(vv3, ee3))
     fo_sizes = (fo.fo_size(fo.make_psi(3)), fo.fo_size(fo.make_phi(3)))
     ok = frontier == [] and chi == 16 and fo_sizes == (83, 89)

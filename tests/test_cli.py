@@ -296,7 +296,10 @@ def test_experiment_n2(capsys):
     report = json.loads(out)
     assert report["chromatic"] == {"chi": 4, "duplicator_wins_k_up_to": 1}
     assert report["separation"]["vv_all_true"] and report["separation"]["ee_all_false"]
-    nodes = {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1, (2, 0): 1, (2, 1): 1, (3, 0): 6, (3, 1): 98}
+    # the (3,1) root splits 2^3 + 2^5 ways over 11 classes, so its solver
+    # builds the table and answers D at once: the root plus 20 table vectors
+    # (98 nodes by the search without the table)
+    nodes = {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1, (2, 0): 1, (2, 1): 1, (3, 0): 6, (3, 1): 21}
     assert _grid_cells(report) == [(m, k, "D", None, n) for (m, k), n in nodes.items()]
     assert report["frontier"] is None
 

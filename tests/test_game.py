@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import time
 import weakref
 from dataclasses import dataclass
 
@@ -307,9 +308,13 @@ def test_negative_node_limit_is_an_input_error(vv1, ee1):
         minimal_separating(vv1, ee1, 5, node_limit=0)
 
 
-@pytest.mark.parametrize(("m", "k", "nodes"), [(6, 3, 3477), (8, 2, 2922), (3, 1, 98)])
+@pytest.mark.parametrize(("m", "k", "nodes"), [(6, 3, 145), (8, 2, 307), (3, 1, 21)])
 def test_solve_node_counts_are_pinned(vv2, ee2, m, k, nodes):
-    # a node count that moves without a reason is a regression of the search
+    # a node count that moves without a reason is a regression of the search.
+    # The n=2 roots split 2^3 + 2^5 ways over 11 classes, so the solver
+    # builds its table, finds no separating vector and answers D at the root:
+    # each count is the root plus the table vectors built up to (m, k).  The
+    # search without the table took 3477, 2922 and 98 nodes.
     verdict = verdict_to_dict(solve(GamePosition(m, k, vv2, ee2)))
     assert verdict == {"winner": "D", "formula": None, "ms": None, "cs": None, "nodes": nodes}
 
@@ -335,7 +340,8 @@ def test_non_integer_node_limits_are_input_errors(vv1, ee1, limit):
 
 def _searched_verdict(pos: GamePosition) -> dict:
     """``verdict_to_dict`` of the full search from the root, with no root
-    decision before the solver."""
+    decision before the solver; the solver decides on its table as in
+    ``solve``."""
     solver = game._Solver(pos, None)
     formula = solver.win(pos.m, pos.k, *solver.root(pos.m))
     if formula is None:
@@ -355,7 +361,7 @@ def test_root_decision_matches_the_search(monkeypatch, m_empty, m_single):
     built = []
 
     class CountingSolver(game._Solver):
-        def __init__(self, pos, node_limit, *, table=False):
+        def __init__(self, pos, node_limit, *, table=None):
             super().__init__(pos, node_limit, table=table)
             built.append(pos)
 
@@ -460,7 +466,7 @@ def test_minimal_separating_with_and_without_the_table(monkeypatch):
 
     class TablelessSolver(game._Solver):
         def __init__(self, pos, node_limit, *, table):
-            super().__init__(pos, node_limit)
+            super().__init__(pos, node_limit, table=False)
             tableless.append(self)
 
     rng = random.Random(97)
@@ -474,6 +480,129 @@ def test_minimal_separating_with_and_without_the_table(monkeypatch):
         table = game._Solver(solver.pos, None, table=True)
         for (m, k, left, right), formula in solver.memo.items():
             assert table._separable(m, k, left, right) == (formula is not None)
+
+
+def _family_splits(vv2, ee2, count: int) -> list[tuple[frozenset, frozenset]]:
+    """Seeded splits of the n=2 family members into two non-empty sides."""
+    members = sorted(vv2 | ee2, key=game.canonical_key)
+    rng = random.Random(7)
+    splits = []
+    for _ in range(count):
+        chosen = rng.sample(members, rng.randint(2, len(members)))
+        cut = rng.randint(1, len(chosen) - 1)
+        splits.append((frozenset(chosen[:cut]), frozenset(chosen[cut:])))
+    return splits
+
+
+def test_solve_table_rule_keeps_formulas_and_verdicts(monkeypatch, vv1, ee1, vv2, ee2):
+    # solve builds the table where the root splits more ways than there are
+    # classes; the table cuts only subtrees D wins, so the formula is the one
+    # of the search without it, and the verdict is the oracle's
+    gated = []
+
+    class RecordingSolver(game._Solver):
+        def __init__(self, pos, node_limit, *, table=None):
+            super().__init__(pos, node_limit, table=table)
+            gated.append(self._table is not None)
+
+    tableless_solver = game._Solver
+    monkeypatch.setattr(game, "_Solver", RecordingSolver)
+    pairs = [(vv1, ee1), (vv2, ee2)] + _family_splits(vv2, ee2, 58)
+    for left, right in pairs:
+        oracle = VectorOracle(left, right, game.position_signature(GamePosition(0, 0, left, right)))
+        for m in range(5):
+            for k in range(3):
+                pos = GamePosition(m, k, left, right)
+                verdict = solve(pos)
+                reference = tableless_solver(pos, None, table=False)
+                formula = reference.win(m, k, *reference.root(m))
+                found = verdict.formula if isinstance(verdict, SpoilerWins) else None
+                assert found == formula, (pos, found, formula)
+                assert isinstance(verdict, SpoilerWins) == oracle.exists(m, k), pos
+    # the rule fires on some solves and not on others
+    assert gated.count(True) >= 100 and gated.count(False) >= 100, (gated.count(True), len(gated))
+
+
+def test_solve_table_rule_follows_the_root_split_count(vv1, ee1, vv2, ee2):
+    # n=1: 2^1 + 2^0 = 3 ways over 4 classes; n=2: 2^3 + 2^5 = 40 over 11
+    assert game._Solver(GamePosition(3, 1, vv1, ee1), None)._table is None
+    assert game._Solver(GamePosition(3, 1, vv2, ee2), None)._table is not None
+    # no split at k = 0, and explicit choices win over the rule
+    assert game._Solver(GamePosition(3, 0, vv2, ee2), None)._table is None
+    assert game._Solver(GamePosition(3, 1, vv2, ee2), None, table=False)._table is None
+    assert game._Solver(GamePosition(3, 0, vv1, ee1), None, table=True)._table is not None
+    assert game._splits(3, 0) == 4 and game._splits(1, 2) == 3
+    # the rule counts the root's classes, not its members: on the criterion-1
+    # corpus some roots would pass by their members alone
+    rng = random.Random(20240521)
+    fired = {"classes": 0, "members only": 0, "neither": 0}
+    for _ in range(100):
+        pos = random_position(rng, max_worlds=4, max_side=3, max_props=2)
+        for m in range(4):
+            solver = game._Solver(GamePosition(m, 1, pos.left, pos.right), None)
+            size = len(solver.types)
+            by_classes = game._splits(*(side.bit_count() for side in solver.root(m))) > size
+            assert (solver._table is not None) == by_classes, (pos, m)
+            by_members = game._splits(len(pos.left), len(pos.right)) > size
+            fired["classes" if by_classes else "members only" if by_members else "neither"] += 1
+    assert min(fired.values()) > 0, fired
+
+
+def test_table_vectors_count_as_nodes(vv2, ee2):
+    # a gated D root is one search state plus the vectors of its table
+    solver = game._Solver(GamePosition(6, 3, vv2, ee2), None)
+    assert solver.win(6, 3, *solver.root(6)) is None
+    assert solver.nodes == 1 + sum(map(len, solver._table.values())) == 145
+    # and the limit stops the table while it builds a layer
+    for limit in (1, 10, 100, 144):
+        with pytest.raises(SearchBudgetExceeded, match="table vectors") as exc:
+            solve(GamePosition(6, 3, vv2, ee2), node_limit=limit)
+        assert exc.value.nodes > limit
+    assert verdict_to_dict(solve(GamePosition(6, 3, vv2, ee2), node_limit=145))["nodes"] == 145
+
+
+def test_n3_solve_is_decided_by_the_table(vv3, ee3):
+    # the 16 + 120 members would split 2^15 + 2^119 ways: without the table
+    # the search listed the partitions of the right side and did not return
+    started = time.perf_counter()
+    verdict = solve(GamePosition(4, 2, vv3, ee3), node_limit=200_000)
+    assert isinstance(verdict, DuplicatorWins)
+    assert time.perf_counter() - started < 5
+
+
+def test_small_node_limits_stop_the_n3_table(vv3, ee3):
+    # the table is charged per vector and the limit is checked after each
+    # operand row, so a run stops about one row past it (a check per layer
+    # stopped the 3,000 run at 4,212)
+    for limit, run in (
+        (200, lambda: minimal_separating(vv3, ee3, 16, node_limit=200)),
+        (3_000, lambda: minimal_separating(vv3, ee3, 16, node_limit=3_000)),
+        (200, lambda: solve(GamePosition(8, 4, vv3, ee3), node_limit=200)),
+    ):
+        started = time.perf_counter()
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            run()
+        assert limit < exc.value.nodes < limit + 100 and time.perf_counter() - started < 5
+
+
+def test_strategies_leave_no_cyclic_garbage():
+    # the strategy builder is a plain recursion: with the collector paused, a
+    # batch of first-player wins frees everything by reference counting
+    rng = random.Random(41)
+    positions = [random_position(rng, max_worlds=4, max_side=3, max_props=2) for _ in range(40)]
+    gc.collect()
+    gc.disable()
+    try:
+        wins = 0
+        for pos in positions:
+            for m in range(3):
+                verdict = solve(GamePosition(m, 2, pos.left, pos.right))
+                wins += isinstance(verdict, SpoilerWins)
+                verdict = None
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert wins >= 20 and garbage == 0, (wins, garbage)
 
 
 def test_solver_memo_keys_are_depth_m_classes(vv2, ee2):
