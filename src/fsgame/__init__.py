@@ -14,6 +14,7 @@ from .game import (
     DuplicatorWins,
     GamePosition,
     SearchBudgetExceeded,
+    SearchTooDeep,
     SpoilerStrategy,
     SpoilerWins,
     extract_formula,

@@ -30,11 +30,14 @@ class _TypeTable:
         key = (props, children)
         tid = self._ids.get(key)
         if tid is None:
+            # the sort key first: an error while making it (a RecursionError
+            # deep in a search) must leave the three lists the same length
+            ckeys = sorted(self._keys[c] for c in children)
+            sort_key = "(" + ",".join(sorted(props)) + ";" + "|".join(ckeys) + ")"
             tid = len(self._props)
             self._props.append(props)
             self._children.append(children)
-            ckeys = sorted(self._keys[c] for c in children)
-            self._keys.append("(" + ",".join(sorted(props)) + ";" + "|".join(ckeys) + ")")
+            self._keys.append(sort_key)
             self._ids[key] = tid
         return tid
 

@@ -12,6 +12,7 @@ classes, so its verdicts depend only on what formulas within budget can see.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -36,6 +37,23 @@ class SearchBudgetExceeded(RuntimeError):
             f"search budget exceeded after {nodes} nodes (search states plus table vectors)"
         )
         self.nodes = nodes
+
+
+class SearchTooDeep(RecursionError):
+    """The search nested deeper than Python's recursion limit; this is not a
+    verdict.
+
+    The solver takes two frames per modal step, so a modal budget of a few
+    hundred over long chains of worlds can pass the limit.  ``m`` is the modal
+    budget of the query that nested too deep.  A ``RecursionError``, so
+    callers that refuse over-deep inputs catch it too."""
+
+    def __init__(self, m: int) -> None:
+        super().__init__(
+            f"search nests deeper than the recursion limit ({sys.getrecursionlimit()})"
+            f" at modal budget {m}"
+        )
+        self.m = m
 
 
 class IllegalMoveError(ValueError):
@@ -289,14 +307,16 @@ class _Solver:
     the formulas within each budget, built on demand, and answers a memo miss
     None before trying any move when none of them separates the two sides
     (``_separable``).  That cuts only subtrees D wins, so the search order and
-    the formulas found stay the same.  Each vector the table keeps is charged
-    as one node, so ``node_limit`` bounds the table too and ``nodes`` counts
-    search states plus table vectors.  ``table=None`` builds the table when
-    the root would split more ways than the universe has classes: k >= 1 and
-    2^(a-1) + 2^(b-1) > |universe|, for a and b distinct depth-m classes on
-    the root's two sides.  Below that a small solve pays more for the table
-    than it saves.  ``minimal_separating``, which asks one solver a whole
-    budget grid, always builds it.
+    the formulas found stay the same.  ``<>`` of a vector ORs one precomputed
+    entry per byte of it (``_byte_tables``), and a pair of sides never scans
+    a layer twice without a separator.  Each vector the table keeps is
+    charged as one node, so ``node_limit`` bounds the table too and
+    ``nodes`` counts search states plus table vectors.  ``table=None``
+    builds the table when the root would split more ways than the universe
+    has classes: k >= 1 and 2^(a-1) + 2^(b-1) > |universe|, for a and b
+    distinct depth-m classes on the root's two sides.  Below that a small
+    solve pays more for the table than it saves.  ``minimal_separating``,
+    which asks one solver a whole budget grid, always builds it.
     """
 
     def __init__(
@@ -349,13 +369,15 @@ class _Solver:
                 and _splits(*(side.bit_count() for side in self.root(pos.m))) > size
             )
         # the truth-vector table: budget -> the vectors first reached there,
-        # vector -> the minimal budgets that reach it, and each class's bit
-        # with the mask of its children
+        # vector -> the minimal budgets that reach it, a pair of sides -> how
+        # many layers of each connective budget were scanned without a
+        # separator, and the byte tables of ``_diamond``
         self._table: dict[tuple[int, int], list[int]] | None = None
         if table:
             self._table = {}
             self._reached: dict[int, list[tuple[int, int]]] = {}
-            self._kids = [(1 << i, self._union_children(1 << i)) for i in range(len(self.types))]
+            self._scanned: dict[tuple[int, int], list[int]] = {}
+            self._parent_bytes = self._byte_tables()
 
     def root(self, m: int) -> tuple[int, int]:
         """The masks of the depth-m classes of the position's two sides."""
@@ -469,10 +491,22 @@ class _Solver:
         trees whose childless classes are dead ends; that is its truth on the
         members wherever its modal depth is at most the depth of the class,
         and the sides at budget m are depth-m classes.
+
+        The layers are scanned kk-outer, mm-inner, and missing ones are built
+        in that order, where a scan reaches them.  A layer scanned once without
+        a separator for these sides is not scanned again: each connective
+        budget resumes at the first modal budget not yet scanned.  Layers
+        below that point are built already, so the layers built, and when,
+        are those of a full scan.
         """
         table = self._table
+        scanned = self._scanned.get((A, B))
+        if scanned is None:
+            scanned = self._scanned[A, B] = []
         for kk in range(k + 1):
-            for mm in range(m + 1):
+            if kk == len(scanned):
+                scanned.append(0)
+            for mm in range(scanned[kk], m + 1):
                 # every budget below (mm, kk) comes earlier in this order
                 layer = table.get((mm, kk))
                 if layer is None:
@@ -480,6 +514,7 @@ class _Solver:
                 for v in layer:
                     if A & v == A and not v & B:
                         return True
+                scanned[kk] = mm + 1
         return False
 
     def _new_vectors(self, m: int, k: int) -> list[int]:
@@ -526,23 +561,41 @@ class _Solver:
         for v in found:
             budgets = reached.get(v)
             if budgets is None:
-                reached[v] = [(m, k)]
-            elif all(mm > m or kk > k for mm, kk in budgets):
-                budgets.append((m, k))
+                budgets = reached[v] = []
+            for mm, kk in budgets:
+                if mm <= m and kk <= k:
+                    break  # a smaller budget reaches v
             else:
-                continue
-            new.append(v)
+                budgets.append((m, k))
+                new.append(v)
         self.nodes += len(new) - kept
         if self.nodes > self.node_limit:
             raise SearchBudgetExceeded(self.nodes)
 
     def _diamond(self, v: int) -> int:
-        """The classes with a child in v."""
+        """The classes with a child in v: one lookup per byte of v."""
         out = 0
-        for bit, kids in self._kids:
-            if kids & v:
-                out |= bit
+        for parents, byte in zip(self._parent_bytes, v.to_bytes(len(self._parent_bytes), "little")):
+            out |= parents[byte]
         return out
+
+    def _byte_tables(self) -> list[list[int]]:
+        """For each 8-class chunk of the universe, the mask of the classes
+        with a child among the chunk's set bits, for each of its 256 values."""
+        size = len(self.types)
+        parents = [0] * size  # per class, the classes it is a child of
+        for i in range(size):
+            for kid in self._child_bits(i):
+                parents[kid.bit_length() - 1] |= 1 << i
+        tables = []
+        for base in range(0, size, 8):
+            chunk = parents[base : base + 8]
+            entries = [0] * (1 << len(chunk))
+            for x in range(1, len(entries)):
+                low = x & -x  # x's entry: that of x without its lowest bit, plus its parents
+                entries[x] = entries[x ^ low] | chunk[low.bit_length() - 1]
+            tables.append(entries)
+        return tables
 
     def _child_bits(self, i: int) -> list[int]:
         kids = self._children[i]
@@ -661,8 +714,10 @@ def solve(pos: GamePosition, *, node_limit: int | None = None) -> Verdict:
     search, and the verdict's ``nodes`` then counts the table's vectors too.
 
     Raises ``SearchBudgetExceeded`` (never a verdict) when the node ceiling is
-    hit; it bounds search states and table vectors together.  A negative
-    ``node_limit`` is an input error (``ValueError``).
+    hit; it bounds search states and table vectors together.  Raises
+    ``SearchTooDeep``, a ``RecursionError``, when the search nests past the
+    recursion limit.  A negative ``node_limit`` is an input error
+    (``ValueError``).
     """
     if _node_limit(node_limit) == 0:
         position_signature(pos)  # a mixed signature is an input error first
@@ -679,10 +734,13 @@ def solve(pos: GamePosition, *, node_limit: int | None = None) -> Verdict:
         # a shared depth-m class defeats every formula within the budget
         return DuplicatorWins(nodes=1)
     solver = _Solver(pos, node_limit)
-    formula = solver.win(pos.m, pos.k, solver.encode(left), solver.encode(right))
-    if formula is None:
-        return DuplicatorWins(nodes=solver.nodes)
-    strategy = _strategy_for(formula, pos)
+    try:
+        formula = solver.win(pos.m, pos.k, solver.encode(left), solver.encode(right))
+        if formula is None:
+            return DuplicatorWins(nodes=solver.nodes)
+        strategy = _strategy_for(formula, pos)
+    except RecursionError:
+        raise SearchTooDeep(pos.m) from None
     return SpoilerWins(strategy=strategy, formula=formula, nodes=solver.nodes)
 
 
@@ -892,7 +950,9 @@ def minimal_separating(
     truth-vector table across the whole budget grid.  The table answers every
     position where no formula within budget separates without a search, so
     only positions S wins are expanded.  A budget or ``node_limit`` that is
-    not a non-negative integer raises ``ValueError``.
+    not a non-negative integer raises ``ValueError``; the errors of ``solve``
+    stop it too, and ``SearchTooDeep`` names the modal budget of the query
+    that nested too deep.
     """
     if type(max_total) is not int or max_total < 0:
         raise ValueError(f"budget must be a non-negative integer, got {max_total!r}")
@@ -903,7 +963,10 @@ def minimal_separating(
             k = total - m
             if any(fm <= m and fk <= k for fm, fk, _ in frontier):
                 continue
-            formula = solver.win(m, k, *solver.root(m))
+            try:
+                formula = solver.win(m, k, *solver.root(m))
+            except RecursionError:
+                raise SearchTooDeep(m) from None
             if formula is not None:
                 frontier.append((m, k, formula))
     return sorted(frontier, key=lambda entry: (entry[0], entry[1]))

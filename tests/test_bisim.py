@@ -57,6 +57,19 @@ def test_class_maps_grow_in_place_on_the_model():
                 assert TYPES.props(layers[d][w]) == model.props_at(w)
 
 
+def test_an_intern_that_fails_leaves_the_type_table_whole():
+    # an error while interning (a RecursionError deep in a search, here an
+    # unknown child id) adds nothing, so later classes still get their keys
+    sizes = (len(TYPES._props), len(TYPES._children), len(TYPES._keys), len(TYPES._ids))
+    with pytest.raises(IndexError):
+        TYPES.intern(frozenset(), frozenset([sizes[0] + 10]))
+    assert (len(TYPES._props), len(TYPES._children), len(TYPES._keys), len(TYPES._ids)) == sizes
+    leaf = TYPES.intern(frozenset(["unseen"]), frozenset())
+    parent = TYPES.intern(frozenset(), frozenset([leaf]))
+    assert (leaf, parent) == (sizes[0], sizes[0] + 1)
+    assert TYPES.sort_key(parent) == "(;(unseen;))"
+
+
 def test_witness_layers_are_nested_and_valid(m_empty, m_single):
     witness = n_bisimilar(m_empty, m_single, 0)
     assert witness.verify()

@@ -143,20 +143,22 @@ def test_eval_refuses_formulas_nested_past_the_recursion_limit(capsys, files):
 
 
 def test_solve_refuses_positions_nested_past_the_recursion_limit(capsys, tmp_path):
-    # the solver recurses once per modal step down a 600-world chain
-    n = 600
-    chain = {
-        "worlds": [f"w{i}" for i in range(n)],
-        "edges": [[f"w{i}", f"w{i + 1}"] for i in range(n - 1)],
-        "valuation": {},
-        "point": "w0",
-    }
-    loop = {"worlds": ["a"], "edges": [["a", "a"]], "valuation": {}, "point": "a"}
-    path = tmp_path / "deep.json"
-    path.write_text(json.dumps({"m": n + 5, "k": 0, "left": [chain], "right": [loop]}))
-    code, out, err = run(capsys, "solve", str(path))
-    assert code == 1 and out == ""
-    assert err == "refused: the input nests deeper than the recursion limit\n"
+    # the solver recurses once per modal step down an n-world chain; the
+    # library raises game.SearchTooDeep, a RecursionError, which the CLI
+    # refuses like any input nested past the recursion limit
+    for n in (600, 1_000):
+        chain = {
+            "worlds": [f"w{i}" for i in range(n)],
+            "edges": [[f"w{i}", f"w{i + 1}"] for i in range(n - 1)],
+            "valuation": {},
+            "point": "w0",
+        }
+        loop = {"worlds": ["a"], "edges": [["a", "a"]], "valuation": {}, "point": "a"}
+        path = tmp_path / f"deep{n}.json"
+        path.write_text(json.dumps({"m": n + 5, "k": 0, "left": [chain], "right": [loop]}))
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 1 and out == "", n
+        assert err == "refused: the input nests deeper than the recursion limit\n"
 
 
 def test_solve_env_node_limit(capsys, files, monkeypatch):

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import sys
 import time
 import weakref
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ from fsgame.game import (
     RightSplit,
     RightSucc,
     SearchBudgetExceeded,
+    SearchTooDeep,
     SpoilerWins,
     StrategyError,
     SWin,
@@ -583,6 +585,157 @@ def test_small_node_limits_stop_the_n3_table(vv3, ee3):
         with pytest.raises(SearchBudgetExceeded) as exc:
             run()
         assert limit < exc.value.nodes < limit + 100 and time.perf_counter() - started < 5
+
+
+def test_diamond_reads_the_class_by_class_definition(vv2, ee2, vv3, ee3):
+    # the byte tables give the classes with a child in v, for any mask v
+    rng = random.Random(5)
+    solvers = [
+        game._Solver(GamePosition(15, 0, vv2, ee2), None, table=True),
+        game._Solver(GamePosition(16, 0, vv3, ee3), None, table=True),
+        game._Solver(GamePosition(0, 0, frozenset(), frozenset()), None, table=True),
+    ]
+    for _ in range(40):
+        pos = random_position(rng, max_worlds=4, max_side=3, max_props=2)
+        solvers.append(game._Solver(GamePosition(3, 1, pos.left, pos.right), None, table=True))
+    assert [len(s.types) for s in solvers[:3]] == [11, 142, 0]
+    assert max(len(s.types) for s in solvers[3:]) > 16  # more than two bytes
+    for solver in solvers:
+        size = len(solver.types)
+        kids = [solver._union_children(1 << i) for i in range(size)]
+        masks = [0, (1 << size) - 1] + [1 << i for i in range(size)]
+        masks += [rng.getrandbits(size) for _ in range(200)] if size else []
+        for v in masks:
+            expected = sum(1 << i for i in range(size) if kids[i] & v)
+            assert solver._diamond(v) == expected, (size, v)
+
+
+def _scan_from_scratch(solver, m: int, k: int, A: int, B: int) -> bool:
+    """``_separable`` without its record of scanned layers: every layer within
+    (m, k), kk-outer and mm-inner, building the missing ones."""
+    table = solver._table
+    for kk in range(k + 1):
+        for mm in range(m + 1):
+            layer = table.get((mm, kk))
+            if layer is None:
+                layer = table[mm, kk] = solver._new_vectors(mm, kk)
+            if any(A & v == A and not v & B for v in layer):
+                return True
+    return False
+
+
+def test_scan_record_answers_like_a_full_scan(monkeypatch, vv2, ee2):
+    # every query of the n=2 frontier: the answer of the resumed scan is that
+    # of a full scan on a second table, and both tables build the same layers
+    # in the same order, so node counts do not move
+    queries, solvers = [], []
+    plain = game._Solver
+
+    class CheckedSolver(plain):
+        def __init__(self, pos, node_limit, *, table):
+            super().__init__(pos, node_limit, table=table)
+            self.reference = plain(pos, node_limit, table=table)
+            solvers.append(self)
+
+        def _separable(self, m, k, A, B):
+            answer = super()._separable(m, k, A, B)
+            assert answer == _scan_from_scratch(self.reference, m, k, A, B), (m, k, A, B)
+            assert list(self._table) == list(self.reference._table)
+            queries.append((A, B))
+            return answer
+
+    monkeypatch.setattr(game, "_Solver", CheckedSolver)
+    frontier = minimal_separating(vv2, ee2, 15)
+    (solver,) = solvers
+    assert frontier == [(12, 3, parse_ml("([][]<>T | []<>[]F) & ([]<><>T | [][][]F)"))]
+    assert (len(queries), len(set(queries))) == (1_526, 118)
+    assert solver._table == solver.reference._table
+    assert solver.nodes == 3_531  # 2,401 search states plus 1,130 vectors
+
+
+def test_scan_record_builds_the_layers_of_a_full_scan():
+    # queries in no particular order on a few pairs of sides: a pair that met
+    # a separator at a small budget is scanned again at a larger one, and the
+    # layers a full scan would build below that separator are built too
+    rng = random.Random(11)
+    for _ in range(30):
+        pos = random_position(rng, max_worlds=4, max_side=3, max_props=2, m=4)
+        solver = game._Solver(pos, None, table=True)
+        reference = game._Solver(pos, None, table=True)
+        size = len(solver.types)
+        pairs = [(rng.getrandbits(size), rng.getrandbits(size)) for _ in range(3)]
+        pairs = [(A & ~B, B) for A, B in pairs] + [solver.root(m) for m in (1, 4)]
+        for _ in range(15):
+            m, k = rng.randint(0, 4), rng.randint(0, 2)
+            A, B = rng.choice(pairs)
+            answer = solver._separable(m, k, A, B)
+            assert answer == _scan_from_scratch(reference, m, k, A, B), (pos, m, k, A, B)
+            assert list(solver._table) == list(reference._table) and solver.nodes == reference.nodes
+
+
+def test_n3_table_counts_and_stops_are_pinned(monkeypatch, vv2, ee2, vv3, ee3):
+    # a node count or a stop that moves without a reason is a regression of
+    # the table; the limit is checked after each operand row
+    solvers = []
+
+    class RecordingSolver(game._Solver):
+        def __init__(self, pos, node_limit, *, table):
+            super().__init__(pos, node_limit, table=table)
+            solvers.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(game, "_Solver", RecordingSolver)
+        assert minimal_separating(vv3, ee3, 16) == []
+    assert solvers.pop().nodes == 113_961
+    stops = {
+        231: lambda: minimal_separating(vv3, ee3, 16, node_limit=200),
+        3_032: lambda: minimal_separating(vv3, ee3, 16, node_limit=3_000),
+        203: lambda: solve(GamePosition(8, 4, vv3, ee3), node_limit=200),
+        157: lambda: minimal_separating(vv2, ee2, 15, node_limit=144),
+        1_012: lambda: minimal_separating(vv2, ee2, 15, node_limit=1_000),
+        17: lambda: solve(GamePosition(6, 3, vv2, ee2), node_limit=10),
+    }
+    for nodes, run in stops.items():
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            run()
+        assert exc.value.nodes == nodes
+
+
+def _chain_against_loop(n: int) -> tuple[frozenset, frozenset]:
+    """A chain of n worlds against a one-world loop: only a formula with n
+    modal operators separates them."""
+    worlds = [f"w{i}" for i in range(n)]
+    chain = KripkeModel(worlds, list(zip(worlds, worlds[1:])), {})
+    loop = KripkeModel(["a"], [("a", "a")], {})
+    return frozenset([PointedModel(chain, "w0")]), frozenset([PointedModel(loop, "a")])
+
+
+def _frames() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_searches_past_the_recursion_limit_raise_a_clear_error():
+    # the search takes two frames per modal step: a 1,000-world chain passes
+    # the default limit, and the error names the modal budget
+    left, right = _chain_against_loop(1_000)
+    with pytest.raises(SearchTooDeep, match="recursion limit .* at modal budget 1005$") as exc:
+        solve(GamePosition(1_005, 0, left, right))
+    assert isinstance(exc.value, RecursionError) and exc.value.m == 1_005
+    # minimal_separating names the budget of the query that nested too deep;
+    # a small chain under a lowered limit keeps its table small
+    left, right = _chain_against_loop(10)
+    assert minimal_separating(left, right, 10) == [(10, 0, parse_ml("<>" * 9 + "[]F"))]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames() + 12)
+    try:
+        with pytest.raises(SearchTooDeep) as exc:
+            minimal_separating(left, right, 10)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert 0 < exc.value.m <= 10 and str(exc.value).endswith(f"at modal budget {exc.value.m}")
 
 
 def test_strategies_leave_no_cyclic_garbage():
