@@ -205,9 +205,11 @@ def legal_moves(pos: GamePosition) -> list[Move]:
     if pos.k >= 1:
         for split_left in (True, False):
             side = pos.left if split_left else pos.right
-            members = _sorted_members(side)
-            for mask in range(1 << len(members)):
-                part1 = frozenset(p for i, p in enumerate(members) if mask >> i & 1)
+            # parts[mask] holds the members whose bits are set in mask
+            parts = [frozenset()]
+            for p in _sorted_members(side):
+                parts += [part | {p} for part in parts]
+            for part1 in parts:
                 part2 = side - part1
                 for k1 in range(pos.k):
                     k2 = pos.k - 1 - k1
@@ -248,7 +250,7 @@ def _check_succ(pos: GamePosition, move: LeftSucc | RightSucc) -> None:
     side = pos.left if isinstance(move, LeftSucc) else pos.right
     if pos.m < 1:
         raise IllegalMoveError("successor moves require a modal budget of at least 1")
-    if set(move.choice.keys()) != set(side):
+    if move.choice.keys() != side:
         raise IllegalMoveError("choice function must be total on the advanced side")
     for p, target in move.choice.items():
         if target not in successors(p):

@@ -10,6 +10,7 @@ responder below never loses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .bisim import n_bisimilar
@@ -50,8 +51,11 @@ def make_graph(vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> Gra
     return Graph(frozenset(vertices), norm)
 
 
-def _unwrap(member: PointedModel, expected: int) -> list[str]:
-    """Recover the hierarchy elements under a join member's fresh root."""
+def _unwrap(member: PointedModel, expected: int, frames: dict[str, PointedModel]) -> list[str]:
+    """Recover the hierarchy elements under a join member's fresh root.
+
+    ``frames`` maps each element world met so far to its membership frame;
+    the worlds of this member are added to it."""
     targets = member.model.succ(member.point)
     if len(targets) != expected:
         raise ValueError(
@@ -60,11 +64,14 @@ def _unwrap(member: PointedModel, expected: int) -> list[str]:
     if member.model.prop_set:
         raise ValueError("join members over the hierarchy carry no propositions")
     for world in targets:
-        try:
-            element = parse_hf(world)
-        except ValueError as exc:
-            raise ValueError(f"world {world!r} is not a canonical set encoding") from exc
-        if generated(PointedModel(member.model, world)) != model_of(element):
+        frame = frames.get(world)
+        if frame is None:
+            try:
+                element = parse_hf(world)
+            except ValueError as exc:
+                raise ValueError(f"world {world!r} is not a canonical set encoding") from exc
+            frame = frames[world] = model_of(element)
+        if generated(PointedModel(member.model, world)) != frame:
             raise ValueError(f"submodel under {world!r} is not the membership frame of {world!r}")
     return list(targets)
 
@@ -76,8 +83,9 @@ def _labels(
     two for a pair join."""
     if not vv:
         raise ValueError("the vertex family must be nonempty")
-    labels = {member: tuple(_unwrap(member, 1)) for member in vv}
-    labels.update((member, tuple(sorted(_unwrap(member, 2)))) for member in ee)
+    frames: dict[str, PointedModel] = {}
+    labels = {member: tuple(_unwrap(member, 1, frames)) for member in vv}
+    labels.update((member, tuple(sorted(_unwrap(member, 2, frames)))) for member in ee)
     return labels
 
 
@@ -166,7 +174,8 @@ def duplicator_coloring_strategy(pos: GamePosition) -> "_ColoringResponder":
 class _ColoringResponder:
     """Branch choices that keep the chromatic bound invariant; successor moves
     hand off to a pinned-pair responder on a duplicated model.  ``labels``
-    holds every member's unwrapped elements, computed once for the root."""
+    holds every member's unwrapped elements, computed once for the root;
+    ``_pinned`` is computed once per responder, on its first hand-off."""
 
     position: GamePosition
     labels: dict[PointedModel, tuple[str, ...]]
@@ -186,13 +195,19 @@ class _ColoringResponder:
             return None, self._hand_off(move)
         raise IllegalMoveError(f"not a move: {move!r}")
 
-    def _hand_off(self, move: LeftSucc | RightSucc):
+    @cached_property
+    def _pinned(self) -> tuple[str, dict[str, PointedModel], PointedModel]:
+        """The least edge's first vertex, the vertex members by element and the
+        least edge's pair member: the same for every successor move."""
         pos, labels = self.position, self.labels
         a, b = min(_graph(labels, pos.left, pos.right).edges)
         by_vertex = {labels[member][0]: member for member in pos.left}
         by_pair = {labels[member]: member for member in pos.right}
-        pair_member = by_pair[(a, b)]
-        nxt = apply_move(pos, move, None)
+        return a, by_vertex, by_pair[(a, b)]
+
+    def _hand_off(self, move: LeftSucc | RightSucc):
+        a, by_vertex, pair_member = self._pinned
+        nxt = apply_move(self.position, move, None)
         if isinstance(move, LeftSucc):
             pin_left = move.choice[by_vertex[a]]
             pin_right = PointedModel(pair_member.model, a)

@@ -168,7 +168,5 @@ def ee_set(n: int) -> frozenset[PointedModel]:
         raise ValueError("n must be non-negative")
     if n > _EE_CAP:
         raise ValueError(f"n={n} is too large (the pair count explodes)")
-    level = sorted(v_level(n + 1))
-    return frozenset(
-        join([model_of(a), model_of(b)]) for a, b in itertools.combinations(level, 2)
-    )
+    frames = [model_of(a) for a in sorted(v_level(n + 1))]
+    return frozenset(join(pair) for pair in itertools.combinations(frames, 2))

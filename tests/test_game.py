@@ -1,8 +1,10 @@
 import gc
+import itertools
 import json
 import random
 import sys
 import time
+import types
 import weakref
 from dataclasses import dataclass
 
@@ -125,6 +127,53 @@ def test_legal_moves_split_budgets_forced(vv1, ee1):
     moves = legal_moves(GamePosition(0, 1, vv1, ee1))
     assert moves and all(isinstance(m, (LeftSplit, RightSplit)) for m in moves)
     assert all((m.m1, m.m2, m.k1, m.k2) == (0, 0, 0, 0) for m in moves)
+
+
+def _reference_moves(pos):
+    # every move, each split part filtered from the members by its mask
+    moves = []
+    if pos.k >= 1:
+        for split_left, make in ((True, LeftSplit), (False, RightSplit)):
+            side = pos.left if split_left else pos.right
+            members = sorted(side, key=game.canonical_key)
+            for mask in range(1 << len(members)):
+                part1 = frozenset(p for i, p in enumerate(members) if mask >> i & 1)
+                for k1 in range(pos.k):
+                    for m1 in range(pos.m + 1):
+                        moves.append(make(m1, k1, part1, pos.m - m1, pos.k - 1 - k1, side - part1))
+    if pos.m >= 1:
+        for side, make in ((pos.left, LeftSucc), (pos.right, RightSucc)):
+            members = sorted(side, key=game.canonical_key)
+            options = [sorted(successors(p), key=game.canonical_key) for p in members]
+            if all(options):
+                moves.extend(make(dict(zip(members, c))) for c in itertools.product(*options))
+    return moves
+
+
+def test_legal_moves_match_the_reference_enumeration():
+    # same moves in the same order, so CLI ``play`` menus keep their numbers
+    rng = random.Random(61)
+    sizes = set()
+    for _ in range(80):
+        pos = random_position(rng, max_side=5, m=rng.randint(0, 2), k=rng.randint(0, 2))
+        sizes.add(max(len(pos.left), len(pos.right)))
+        assert legal_moves(pos) == _reference_moves(pos), pos
+    assert 5 in sizes
+
+
+def test_successor_choices_are_checked(m_single, e1):
+    pos = GamePosition(1, 0, {m_single}, {e1})
+    child = PointedModel(m_single.model, "{}")
+    for choice, reason in (
+        ({}, "total"),  # misses the member
+        ({m_single: child, e1: PointedModel(e1.model, "{}")}, "total"),  # an extra key
+        ({m_single: m_single}, "outside"),  # not one of the member's successors
+    ):
+        with pytest.raises(IllegalMoveError, match=reason):
+            apply_move(pos, LeftSucc(choice), None)
+    # any mapping will do, not only a dict
+    nxt = apply_move(pos, LeftSucc(types.MappingProxyType({m_single: child})), None)
+    assert nxt == GamePosition(0, 0, {child}, successors(e1))
 
 
 def test_apply_move_examples(m_empty, m_single, vv1, ee1):

@@ -13,7 +13,7 @@ from fsgame.graphs import (
     make_graph,
     to_edge_list,
 )
-from fsgame.kripke import join
+from fsgame.kripke import KripkeModel, PointedModel, join
 from oracles import chromatic_brute
 
 
@@ -152,19 +152,69 @@ def test_coloring_strategy_succ_handoff(vv1, ee1):
         assert exhaustive_playout(nxt)
 
 
-def test_coloring_strategy_survives_exhaustive_play(vv2, ee2, monkeypatch):
+@pytest.mark.parametrize("m", [2, 3])
+def test_coloring_strategy_survives_exhaustive_play(vv2, ee2, m, monkeypatch):
     unwrap = graphs._unwrap
     calls = []
 
-    def counting_unwrap(member, expected):
+    def counting_unwrap(member, expected, frames):
         calls.append(member)
-        return unwrap(member, expected)
+        return unwrap(member, expected, frames)
 
     monkeypatch.setattr(graphs, "_unwrap", counting_unwrap)
-    responder = duplicator_coloring_strategy(GamePosition(2, 1, vv2, ee2))
+    responder = duplicator_coloring_strategy(GamePosition(m, 1, vv2, ee2))
     assert exhaustive_playout(responder)
     # every join member is unwrapped once, however many moves are answered
     assert len(calls) == len(vv2) + len(ee2)
+
+
+def test_coloring_playout_reaches_every_position(vv2, ee2, monkeypatch):
+    terminal = game._terminal
+    seen = []
+
+    def counting(pos, literals):
+        seen.append(pos)
+        return terminal(pos, literals)
+
+    monkeypatch.setattr(game, "_terminal", counting)
+    assert exhaustive_playout(duplicator_coloring_strategy(GamePosition(1, 1, vv2, ee2)))
+    assert len(seen) == 11_354
+
+
+def test_coloring_responder_builds_its_graph_once(vv2, ee2, monkeypatch):
+    graph, hand_off = graphs._graph, graphs._ColoringResponder._hand_off
+    handing_off = []
+    seen = {}  # id -> [responder, its hand-offs, conflict graphs built during them]
+
+    def counting_graph(labels, vv, ee):
+        if handing_off:
+            seen[id(handing_off[-1])][2] += 1
+        return graph(labels, vv, ee)
+
+    def counting_hand_off(self, move):
+        # the entry keeps the responder alive, so no other responder reuses its id
+        seen.setdefault(id(self), [self, 0, 0])[1] += 1
+        handing_off.append(self)
+        try:
+            return hand_off(self, move)
+        finally:
+            handing_off.pop()
+
+    monkeypatch.setattr(graphs, "_graph", counting_graph)
+    monkeypatch.setattr(graphs._ColoringResponder, "_hand_off", counting_hand_off)
+    assert exhaustive_playout(duplicator_coloring_strategy(GamePosition(1, 1, vv2, ee2)))
+    assert (len(seen), sum(hand_offs for _, hand_offs, _ in seen.values())) == (81, 1_961)
+    assert all(built == 1 for _, _, built in seen.values())
+
+
+def test_unwrap_checks_every_member_under_a_repeated_world(vv1):
+    # "{{}}" is met first under the singleton join, then under a pair member
+    # whose submodel there lacks the edge to "{}"
+    tampered = PointedModel(
+        KripkeModel(["_root", "{}", "{{}}"], [("_root", "{}"), ("_root", "{{}}")]), "_root"
+    )
+    with pytest.raises(ValueError, match="submodel under '{{}}'"):
+        graph_of(vv1, {tampered})
 
 
 def test_coloring_strategy_agrees_with_solver(vv2, ee2):

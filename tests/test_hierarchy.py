@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from fsgame.hierarchy import (
@@ -11,6 +13,7 @@ from fsgame.hierarchy import (
     v_level,
     vv_set,
 )
+from fsgame.kripke import canonical_key, join
 
 
 def test_tower():
@@ -107,3 +110,10 @@ def test_family_members_are_root_joins(vv2, ee2):
         assert len(member.model.succ(member.point)) == 1
     for member in ee2:
         assert len(member.model.succ(member.point)) == 2
+
+
+def test_ee_set_matches_pairwise_joins():
+    for n in range(4):
+        pairs = itertools.combinations(sorted(v_level(n + 1)), 2)
+        expected = sorted(canonical_key(join([model_of(a), model_of(b)])) for a, b in pairs)
+        assert sorted(map(canonical_key, ee_set(n))) == expected
