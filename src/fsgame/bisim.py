@@ -64,12 +64,16 @@ def _layers(model: KripkeModel, depth: int) -> list[dict[str, int]]:
         base = {w: TYPES.intern(model.props_at(w), frozenset()) for w in model.worlds}
         layers = model._layers = [base]
     base = layers[0]  # a world's propositions are those of its depth-0 class
+    ids, props, intern = TYPES._ids, TYPES._props, TYPES.intern
     while len(layers) <= depth:
         prev = layers[-1]
-        layers.append({
-            w: TYPES.intern(TYPES.props(base[w]), frozenset(prev[v] for v in model.succ(w)))
-            for w in model.worlds
-        })
+        layer = {}
+        for w, succ in model._succ.items():
+            # a class met before costs one lookup; only a new one is interned
+            key = (props[base[w]], frozenset([prev[v] for v in succ]))
+            tid = ids.get(key)
+            layer[w] = intern(*key) if tid is None else tid
+        layers.append(layer)
     return layers
 
 

@@ -18,9 +18,9 @@ from typing import Iterable, Mapping
 
 from . import kripke
 from .bisim import TYPES, BisimWitness, _layers, bounded_type, truncate_type
-from .kripke import PointedModel, canonical_key, diamond_all, successors
+from .kripke import PointedModel, canonical_key, diamond_all, ordered_successors, successors
 from .logic import ml
-from .logic.ml import BOT, TOP, MLFormula, NegProp, Prop, extent, ml_sizes, separates
+from .logic.ml import BOT, TOP, Bot, MLFormula, NegProp, Prop, Top, extent, ml_sizes, separates
 from .logic.ml import eval_ml  # noqa: F401  (kept importable here: a benchmark probe site)
 
 DEFAULT_NODE_LIMIT = 10_000_000
@@ -66,6 +66,12 @@ class StrategyError(ValueError):
 
 @dataclass(frozen=True)
 class GamePosition:
+    """A game position.  Sides given as any iterable are kept as frozensets.
+
+    A position keeps the literal list of its signature once something asks
+    for it (``_position_literals``), so a ``solve`` makes it once for its root
+    decision and its solver."""
+
     m: int
     k: int
     left: frozenset[PointedModel]
@@ -76,17 +82,27 @@ class GamePosition:
             raise ValueError(f"budgets must be integers, got m={self.m!r}, k={self.k!r}")
         if self.m < 0 or self.k < 0:
             raise ValueError("budgets must be non-negative")
-        object.__setattr__(self, "left", frozenset(self.left))
-        object.__setattr__(self, "right", frozenset(self.right))
+        if type(self.left) is not frozenset:
+            object.__setattr__(self, "left", frozenset(self.left))
+        if type(self.right) is not frozenset:
+            object.__setattr__(self, "right", frozenset(self.right))
 
 
 def position_signature(pos: GamePosition) -> frozenset[str]:
     """The common proposition signature of all member models.
 
     Mixed signatures are rejected: a literal over one member's signature
-    would be unevaluable on another.
+    would be unevaluable on another.  A member that is not a
+    ``PointedModel`` raises ``TypeError``.
     """
-    sigs = {p.model.prop_set for p in pos.left | pos.right}
+    try:
+        sigs = {p.model.prop_set for p in pos.left | pos.right}
+    except AttributeError:
+        for side in (pos.left, pos.right):
+            for p in side:
+                if not isinstance(p, PointedModel):
+                    raise TypeError(f"position member {p!r} is not a PointedModel") from None
+        raise
     if len(sigs) > 1:
         raise ValueError(f"position mixes signatures: {sorted(sorted(s) for s in sigs)}")
     return next(iter(sigs), frozenset())
@@ -154,20 +170,41 @@ def _literals(signature: Iterable[str]) -> list[MLFormula]:
     return out
 
 
+def _position_literals(pos: GamePosition) -> list[MLFormula]:
+    """``_literals`` of the position's signature, made on the first call and
+    kept on the position; checks the signature like ``position_signature``."""
+    literals = pos.__dict__.get("_literals")
+    if literals is None:
+        literals = _literals(position_signature(pos))
+        object.__setattr__(pos, "_literals", literals)
+    return literals
+
+
 def _literal_separates(lit: MLFormula, pos: GamePosition) -> bool:
-    """``separates`` for a literal, read off the members' valuations."""
-    if isinstance(lit, (ml.Bot, ml.Top)):
-        return not (pos.right if isinstance(lit, ml.Top) else pos.left)
-    holds = isinstance(lit, Prop)
-    left = all((p.point in p.model.valuation[lit.name]) == holds for p in pos.left)
-    return left and all((q.point in q.model.valuation[lit.name]) != holds for q in pos.right)
+    """``separates`` for a literal of ``_literals``, read off the members'
+    valuations."""
+    kind = type(lit)
+    if kind is Bot:
+        return not pos.left
+    if kind is Top:
+        return not pos.right
+    # p holds on the left and fails on the right; ~p the other way round
+    holds, fails = (pos.left, pos.right) if kind is Prop else (pos.right, pos.left)
+    name = lit.name
+    for p in holds:
+        if p.point not in p.model.valuation[name]:
+            return False
+    for q in fails:
+        if q.point in q.model.valuation[name]:
+            return False
+    return True
 
 
 def terminal_status(pos: GamePosition) -> SWin | DWin | Ongoing:
     """S wins if a literal separates; D wins at exhausted budgets or stuck positions.
 
     ``solve`` decides its root with this rule before it builds a solver."""
-    return _terminal(pos, _literals(position_signature(pos)))
+    return _terminal(pos, _position_literals(pos))
 
 
 def _terminal(pos: GamePosition, literals: list[MLFormula]) -> SWin | DWin | Ongoing:
@@ -183,7 +220,10 @@ def _terminal(pos: GamePosition, literals: list[MLFormula]) -> SWin | DWin | Ong
 
 
 def _side_can_advance(side: frozenset[PointedModel]) -> bool:
-    return all(p.model.succ(p.point) for p in side)
+    for p in side:
+        if not p.model._succ[p.point]:
+            return False
+    return True
 
 
 def _has_legal_move(pos: GamePosition) -> bool:
@@ -225,17 +265,18 @@ def legal_moves(pos: GamePosition) -> list[Move]:
             if not _side_can_advance(side):
                 continue
             members = _sorted_members(side)
-            options = [sorted(successors(p), key=canonical_key) for p in members]
+            options = [ordered_successors(p) for p in members]
             for combo in itertools.product(*options):
                 choice = dict(zip(members, combo))
                 moves.append(LeftSucc(choice) if is_left else RightSucc(choice))
     return moves
 
 
-def _check_split(pos: GamePosition, move: LeftSplit | RightSplit) -> None:
-    side = pos.left if isinstance(move, LeftSplit) else pos.right
-    part1 = move.left1 if isinstance(move, LeftSplit) else move.right1
-    part2 = move.left2 if isinstance(move, LeftSplit) else move.right2
+def _check_split(pos: GamePosition, move: LeftSplit | RightSplit, is_left: bool) -> None:
+    if is_left:
+        side, part1, part2 = pos.left, move.left1, move.left2
+    else:
+        side, part1, part2 = pos.right, move.right1, move.right2
     if pos.k < 1:
         raise IllegalMoveError("splitting requires a connective budget of at least 1")
     if move.m1 + move.m2 != pos.m or move.k1 + move.k2 + 1 != pos.k:
@@ -246,8 +287,8 @@ def _check_split(pos: GamePosition, move: LeftSplit | RightSplit) -> None:
         raise IllegalMoveError("split sets must be subsets covering the split side")
 
 
-def _check_succ(pos: GamePosition, move: LeftSucc | RightSucc) -> None:
-    side = pos.left if isinstance(move, LeftSucc) else pos.right
+def _check_succ(pos: GamePosition, move: LeftSucc | RightSucc, is_left: bool) -> None:
+    side = pos.left if is_left else pos.right
     if pos.m < 1:
         raise IllegalMoveError("successor moves require a modal budget of at least 1")
     if move.choice.keys() != side:
@@ -257,29 +298,43 @@ def _check_succ(pos: GamePosition, move: LeftSucc | RightSucc) -> None:
             raise IllegalMoveError(f"choice maps {p!r} outside its successor set")
 
 
+_MOVES = (LeftSplit, RightSplit, LeftSucc, RightSucc)
+
+
 def apply_move(pos: GamePosition, move: Move, d_choice: str | None = None) -> GamePosition:
     """The position after S's move (and D's branch choice, for splits)."""
-    if isinstance(move, (LeftSplit, RightSplit)):
-        _check_split(pos, move)
+    kind = type(move)
+    if kind not in _MOVES:
+        # a subclass moves as the first of the four types it is an instance of
+        kind = next((t for t in _MOVES if isinstance(move, t)), None)
+    if kind is LeftSplit or kind is RightSplit:
+        _check_split(pos, move, kind is LeftSplit)
         if d_choice not in ("left", "right"):
             raise IllegalMoveError('split moves need a branch choice of "left" or "right"')
-        if isinstance(move, LeftSplit):
-            if d_choice == "left":
-                return GamePosition(move.m1, move.k1, move.left1, pos.right)
-            return GamePosition(move.m2, move.k2, move.left2, pos.right)
+    elif kind is LeftSucc or kind is RightSucc:
+        _check_succ(pos, move, kind is LeftSucc)
+        if d_choice is not None:
+            raise IllegalMoveError("successor moves take no branch choice")
+    else:
+        raise IllegalMoveError(f"not a move: {move!r}")
+    return _next_position(pos, kind, move, d_choice)
+
+
+def _next_position(pos: GamePosition, kind: type, move: Move, d_choice: str | None) -> GamePosition:
+    """The position after a legal move of type ``kind`` and D's branch choice."""
+    if kind is LeftSplit:
+        if d_choice == "left":
+            return GamePosition(move.m1, move.k1, move.left1, pos.right)
+        return GamePosition(move.m2, move.k2, move.left2, pos.right)
+    if kind is RightSplit:
         if d_choice == "left":
             return GamePosition(move.m1, move.k1, pos.left, move.right1)
         return GamePosition(move.m2, move.k2, pos.left, move.right2)
-    if isinstance(move, (LeftSucc, RightSucc)):
-        _check_succ(pos, move)
-        if d_choice is not None:
-            raise IllegalMoveError("successor moves take no branch choice")
-        # _check_succ made the choice total and legal, so its values are the image
-        image = frozenset(move.choice.values())
-        if isinstance(move, LeftSucc):
-            return GamePosition(pos.m - 1, pos.k, image, diamond_all(pos.right))
-        return GamePosition(pos.m - 1, pos.k, diamond_all(pos.left), image)
-    raise IllegalMoveError(f"not a move: {move!r}")
+    # a legal choice is total on its side, so its values are the image
+    image = frozenset(move.choice.values())
+    if kind is LeftSucc:
+        return GamePosition(pos.m - 1, pos.k, image, diamond_all(pos.right))
+    return GamePosition(pos.m - 1, pos.k, diamond_all(pos.left), image)
 
 
 _MISS = object()
@@ -328,35 +383,44 @@ class _Solver:
         self.pos = pos
         self.memo: dict[tuple[int, int, int, int], MLFormula | None] = {}
         self.nodes = 0
-        signature = position_signature(pos)
+        literals = _position_literals(pos)
+        m = pos.m
         ids: set[int] = set()
         for model in {p.model for p in pos.left | pos.right}:
-            for layer in _layers(model, pos.m)[: pos.m + 1]:
-                ids.update(layer.values())
-        self.types = sorted(ids, key=TYPES.sort_key)
+            layers = _layers(model, m)
+            for d in range(m + 1):
+                ids.update(layers[d].values())
+        # the type table's lists are read directly: this runs once per solve
+        self.types = sorted(ids, key=TYPES._keys.__getitem__)
         self.bit = {t: 1 << i for i, t in enumerate(self.types)}
-        full = (1 << len(self.types)) - 1
-        holds = dict.fromkeys(signature, 0)
-        self.leaves = 0  # classes without successors
+        size = len(self.types)
+        full = (1 << size) - 1
+        class_props, class_children = TYPES._props, TYPES._children
+        holds: dict[str, int] = {}  # proposition -> the classes where it holds
+        leaves = 0  # classes without successors
         for t, b in self.bit.items():
-            for p in TYPES.props(t):
-                holds[p] |= b
-            if not TYPES.children(t):
-                self.leaves |= b
+            for p in class_props[t]:
+                holds[p] = holds.get(p, 0) | b
+            if not class_children[t]:
+                leaves |= b
+        self.leaves = leaves
         # each literal with the classes where it is true and where it is false
         self.literals = []
-        for lit in _literals(signature):
-            if isinstance(lit, ml.Bot):
+        for lit in literals:
+            kind = type(lit)
+            if kind is Bot:
                 truth = 0
-            elif isinstance(lit, ml.Top):
+            elif kind is Top:
                 truth = full
-            elif isinstance(lit, Prop):
-                truth = holds[lit.name]
+            elif kind is Prop:
+                truth = holds.get(lit.name, 0)
             else:
-                truth = full ^ holds[lit.name]
+                truth = full ^ holds.get(lit.name, 0)
             self.literals.append((lit, truth, full ^ truth))
-        # per-bit child bits, and per-mask images, unions, partitions and cuts
-        self._children: list[list[int] | None] = [None] * len(self.types)
+        # per-bit child bits and cut bits, and per-mask images, unions,
+        # partitions and cuts
+        self._children: list[list[int] | None] = [None] * size
+        self._cut_rows: list[list[int] | None] = [None] * size
         self._images: dict[int, list[int]] = {}
         self._unions: dict[int, int] = {}
         self._partitions: dict[int, list[tuple[int, int]]] = {}
@@ -364,7 +428,6 @@ class _Solver:
         if table is None:
             # a side has no more classes than members, so the members bound
             # the split count, and only a root that passes that bound is typed
-            size = len(self.types)
             table = (
                 pos.k >= 1
                 and _splits(len(pos.left), len(pos.right)) > size
@@ -634,11 +697,22 @@ class _Solver:
         key = (mask, m)
         cuts = self._cuts.get(key)
         if cuts is None:
-            types = self.decode(mask)
-            cuts = [self.encode(truncate_type(t, d) for t in types) for d in range(m)]
+            cuts = [0] * m
+            for i in _bits(mask):
+                row = self._cut_row(i)
+                for d in range(m):
+                    cuts[d] |= row[d]
             cuts.append(mask)
             self._cuts[key] = cuts
         return cuts
+
+    def _cut_row(self, i: int) -> list[int]:
+        """The bit of the cut of class i at each depth d < pos.m."""
+        row = self._cut_rows[i]
+        if row is None:
+            t, bit = self.types[i], self.bit
+            row = self._cut_rows[i] = [bit[truncate_type(t, d)] for d in range(self.pos.m)]
+        return row
 
 
 def _bits(mask: int) -> list[int]:
@@ -724,7 +798,7 @@ def solve(pos: GamePosition, *, node_limit: int | None = None) -> Verdict:
     if _node_limit(node_limit) == 0:
         position_signature(pos)  # a mixed signature is an input error first
         raise SearchBudgetExceeded(1)
-    status = terminal_status(pos)
+    status = _terminal(pos, _position_literals(pos))
     if isinstance(status, SWin):
         leaf = SpoilerStrategy(pos, None, status.literal, ())
         return SpoilerWins(strategy=leaf, formula=status.literal, nodes=1)
@@ -788,7 +862,9 @@ def _build_strategy(f: MLFormula, pos: GamePosition, extents: dict) -> SpoilerSt
 
     Every child separates by construction: a split part keeps the members
     where its disjunct holds (or its conjunct fails), and a successor choice
-    picks successors where the child formula holds (or fails)."""
+    picks successors where the child formula holds (or fails).  The moves are
+    legal by construction too, so the children are made without the checks
+    of ``apply_move``; ``verify_strategy`` replays them with the checks."""
     if isinstance(f, (ml.Top, ml.Bot, Prop, NegProp)):
         return SpoilerStrategy(pos, None, f, ())
     if isinstance(f, (ml.Or, ml.And)):
@@ -800,18 +876,19 @@ def _build_strategy(f: MLFormula, pos: GamePosition, extents: dict) -> SpoilerSt
         split = LeftSplit if is_or else RightSplit
         move = split(sz.ms, sz.cs, part1, pos.m - sz.ms, pos.k - 1 - sz.cs, part2)
         children = (
-            _build_strategy(f.left, apply_move(pos, move, "left"), extents),
-            _build_strategy(f.right, apply_move(pos, move, "right"), extents),
+            _build_strategy(f.left, _next_position(pos, split, move, "left"), extents),
+            _build_strategy(f.right, _next_position(pos, split, move, "right"), extents),
         )
         return SpoilerStrategy(pos, move, None, children)
     if isinstance(f, (ml.Diamond, ml.Box)):
         is_diamond = isinstance(f, ml.Diamond)
         choice = {}
         for p in _sorted_members(pos.left if is_diamond else pos.right):
-            succ = sorted(successors(p), key=canonical_key)
+            succ = ordered_successors(p)
             choice[p] = next(s for s in succ if _holds(f.child, s, extents) == is_diamond)
-        move = LeftSucc(choice) if is_diamond else RightSucc(choice)
-        child = _build_strategy(f.child, apply_move(pos, move, None), extents)
+        kind = LeftSucc if is_diamond else RightSucc
+        move = kind(choice)
+        child = _build_strategy(f.child, _next_position(pos, kind, move, None), extents)
         return SpoilerStrategy(pos, move, None, (child,))
     raise TypeError(f"not a modal formula node: {f!r}")
 
@@ -910,7 +987,7 @@ class _BisimResponder:
 
 def _matching_successor(p: PointedModel, target: PointedModel, depth: int) -> PointedModel:
     wanted = bounded_type(target, depth)
-    for s in sorted(successors(p), key=canonical_key):
+    for s in ordered_successors(p):
         if bounded_type(s, depth) == wanted:
             return s
     raise StrategyError("pinned pair is not equivalent deeply enough to answer")
@@ -925,7 +1002,7 @@ def exhaustive_playout(responder, literals: list[MLFormula] | None = None) -> bo
     """
     pos = responder.position
     if literals is None:
-        literals = _literals(position_signature(pos))
+        literals = _position_literals(pos)
     status = _terminal(pos, literals)
     if isinstance(status, SWin):
         return False

@@ -19,14 +19,16 @@ class KripkeModel:
     valuation.
 
     A model also keeps, filled on demand, the successor set of each world
-    (``successors``), the canonical key of each point (``canonical_key``) and
-    its class maps by depth (``bisim``); they are freed with the model.
+    (``successors``), the same successors in ``canonical_key`` order
+    (``ordered_successors``), the canonical key of each point
+    (``canonical_key``) and its class maps by depth (``bisim``); they are
+    freed with the model.
     Pickling keeps the content only, so these caches and the hash are rebuilt
     in the process that loads the model.
     """
 
     __slots__ = ("worlds", "edges", "valuation", "prop_set", "_succ", "_hash", "_successors",
-                 "_canon", "_layers", "__weakref__")
+                 "_ordered", "_canon", "_layers", "__weakref__")
 
     def __init__(
         self,
@@ -58,10 +60,11 @@ class KripkeModel:
         self._succ = {w: tuple(sorted(vs)) for w, vs in succ.items()}
         self._hash = hash((ws, es, frozenset(val.items())))
         # None until first use, so a model never stepped through, keyed or
-        # typed allocates nothing more: the successor set of each point, the
-        # canonical_key of each point and the class id of each world by depth
-        # (bisim)
+        # typed allocates nothing more: the successor set of each point, its
+        # successors in canonical_key order, the canonical_key of each point
+        # and the class id of each world by depth (bisim)
         self._successors: dict[str, frozenset[PointedModel]] | None = None
+        self._ordered: dict[str, tuple[PointedModel, ...]] | None = None
         self._canon: dict[str, str] | None = None
         self._layers: list[dict[str, int]] | None = None
 
@@ -71,7 +74,7 @@ class KripkeModel:
 
     def props_at(self, world: str) -> frozenset[str]:
         """Propositions true at ``world``."""
-        return frozenset(p for p, extent in self.valuation.items() if world in extent)
+        return frozenset([p for p, extent in self.valuation.items() if world in extent])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KripkeModel):
@@ -135,6 +138,24 @@ def successors(p: PointedModel) -> frozenset[PointedModel]:
     if succ is None:
         succ = cache[p.point] = frozenset(PointedModel(model, v) for v in model.succ(p.point))
     return succ
+
+
+def ordered_successors(p: PointedModel) -> tuple[PointedModel, ...]:
+    """``successors(p)`` sorted by ``canonical_key``, built once per world and
+    kept on the model.
+
+    This is the order in which moves and strategies list successor choices.
+    It is not the order of ``model.succ``: that sorts raw world names, while
+    a canonical key sorts the JSON encoding, where escaped names such as
+    ``a"b`` or ``a\\x01`` sort by their escapes."""
+    model = p.model
+    cache = model._ordered
+    if cache is None:
+        cache = model._ordered = {}
+    ordered = cache.get(p.point)
+    if ordered is None:
+        ordered = cache[p.point] = tuple(sorted(successors(p), key=canonical_key))
+    return ordered
 
 
 def diamond_all(models: Iterable[PointedModel]) -> frozenset[PointedModel]:

@@ -148,10 +148,10 @@ def extent(f: MLFormula, model: KripkeModel, memo: dict) -> frozenset[str]:
         out = extent(f.left, model, memo) | extent(f.right, model, memo)
     elif kind is Diamond:
         child = extent(f.child, model, memo)
-        out = frozenset(w for w in model.worlds if not child.isdisjoint(model.succ(w)))
+        out = frozenset([w for w, succ in model._succ.items() if not child.isdisjoint(succ)])
     elif kind is Box:
         child = extent(f.child, model, memo)
-        out = frozenset(w for w in model.worlds if child.issuperset(model.succ(w)))
+        out = frozenset([w for w, succ in model._succ.items() if child.issuperset(succ)])
     elif kind is Top:
         out = model.worlds
     elif kind is Bot:
@@ -170,14 +170,18 @@ def separates(f: MLFormula, a: Iterable[PointedModel], b: Iterable[PointedModel]
 def _separates(
     f: MLFormula, a: Iterable[PointedModel], b: Iterable[PointedModel], memo: dict
 ) -> bool:
-    """``separates``, keeping in ``memo`` the extents it computes (see ``extent``)."""
+    """``separates``, keeping in ``memo`` the extents it computes (see ``extent``).
+
+    Members are read in order, the left side first, and each member's
+    signature is checked just before the formula is evaluated on it."""
     names = prop_names(f)
-
-    def holds(p: PointedModel) -> bool:
-        _check_symbols(names, p)
-        return p.point in extent(f, p.model, memo)
-
-    return all(map(holds, a)) and not any(map(holds, b))
+    for side, wanted in ((a, True), (b, False)):
+        for p in side:
+            if not names <= p.model.prop_set:
+                _check_symbols(names, p)
+            if (p.point in extent(f, p.model, memo)) != wanted:
+                return False
+    return True
 
 
 class ParseError(ValueError):

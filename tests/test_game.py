@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import json
 import random
@@ -111,6 +112,37 @@ def test_position_rejects_mixed_signatures(m_empty, prop_model):
         game.position_signature(GamePosition(1, 1, {m_empty}, {prop_model}))
 
 
+def test_members_that_are_not_pointed_models_are_type_errors(m_empty, m_single):
+    # each entry point names the member instead of failing on its attributes
+    for left, right in (({"abc"}, {m_empty}), ({m_empty}, {m_single, 7}), ({None}, set())):
+        pos = GamePosition(1, 1, left, right)
+        for call in (
+            lambda: solve(pos),
+            lambda: solve(pos, node_limit=0),
+            lambda: terminal_status(pos),
+            lambda: minimal_separating(pos.left, pos.right, 2),
+        ):
+            with pytest.raises(TypeError, match="is not a PointedModel") as exc:
+                call()
+            assert repr(next(p for p in pos.left | pos.right if p not in (m_empty, m_single))) in str(exc.value)
+
+
+def test_sides_are_kept_as_frozensets(m_empty, m_single, e1):
+    members = [m_empty, m_single]
+    side = frozenset(members)
+    positions = [GamePosition(1, 0, make(members), make([e1])) for make in (set, list, frozenset, tuple)]
+    assert all(pos == positions[0] and hash(pos) == hash(positions[0]) for pos in positions)
+    assert all(type(pos.left) is frozenset and type(pos.right) is frozenset for pos in positions)
+    # a frozenset is kept as given, a subclass of it is copied into a plain one
+    assert GamePosition(0, 0, side, side).left is side
+
+    class Side(frozenset):
+        pass
+
+    pos = GamePosition(0, 0, Side(members), side)
+    assert type(pos.left) is frozenset and pos.left == side and pos == GamePosition(0, 0, side, side)
+
+
 def test_legal_moves_empty_when_budgets_are_zero(m_empty, m_single):
     assert legal_moves(GamePosition(0, 0, {m_empty}, {m_single})) == []
 
@@ -207,6 +239,31 @@ def test_apply_move_validation(m_empty, m_single, vv1, ee1):
         apply_move(split_pos, LeftSplit(0, 0, part1 := frozenset(), 0, 0, part1), "left")
     with pytest.raises(IllegalMoveError):
         apply_move(GamePosition(0, 0, vv1, ee1), ok, "left")
+
+
+def test_apply_move_accepts_the_move_types_and_their_subclasses(m_empty, m_single, vv1, ee1):
+    # a subclass of a move type moves as that type; anything else is not a move
+    class MyLeftSplit(LeftSplit):
+        pass
+
+    class MyRightSucc(RightSucc):
+        pass
+
+    split_pos = GamePosition(0, 1, vv1, ee1)
+    part1 = frozenset([sorted(vv1, key=game.canonical_key)[0]])
+    args = (0, 0, part1, 0, 0, vv1 - part1)
+    for choice in ("left", "right"):
+        assert apply_move(split_pos, MyLeftSplit(*args), choice) == apply_move(
+            split_pos, LeftSplit(*args), choice
+        )
+    succ_pos = GamePosition(1, 0, {m_empty}, {m_single})
+    (move,) = legal_moves(succ_pos)
+    assert apply_move(succ_pos, MyRightSucc(move.choice), None) == apply_move(succ_pos, move, None)
+    with pytest.raises(IllegalMoveError, match="branch choice"):
+        apply_move(split_pos, MyLeftSplit(*args), None)
+    for not_a_move in (None, "left", args, types.SimpleNamespace(choice=move.choice)):
+        with pytest.raises(IllegalMoveError, match="not a move"):
+            apply_move(succ_pos, not_a_move, None)
 
 
 def test_solve_examples(m_empty, m_single, vv1, ee1):
@@ -368,6 +425,48 @@ def test_solve_node_counts_are_pinned(vv2, ee2, m, k, nodes):
     # search without the table took 3477, 2922 and 98 nodes.
     verdict = verdict_to_dict(solve(GamePosition(m, k, vv2, ee2)))
     assert verdict == {"winner": "D", "formula": None, "ms": None, "cs": None, "nodes": nodes}
+
+
+def _strategy_lines(node, out: list[str]) -> None:
+    # a strategy tree in canonical terms: budgets, members by canonical key,
+    # moves with their parts or choices, and leaf literals
+    def keys(side):
+        return sorted(map(game.canonical_key, side))
+
+    pos, move = node.position, node.move
+    out.append(repr((pos.m, pos.k, keys(pos.left), keys(pos.right))))
+    if move is None:
+        out.append("leaf " + ml.print_ml(node.literal))
+    elif isinstance(move, (LeftSplit, RightSplit)):
+        is_left = isinstance(move, LeftSplit)
+        part1, part2 = (move.left1, move.left2) if is_left else (move.right1, move.right2)
+        out.append(repr((type(move).__name__, move.m1, move.k1, keys(part1), move.m2, move.k2, keys(part2))))
+    else:
+        choice = sorted((game.canonical_key(p), game.canonical_key(q)) for p, q in move.choice.items())
+        out.append(repr((type(move).__name__, choice)))
+    for child in node.children:
+        _strategy_lines(child, out)
+
+
+def test_strategy_trees_are_pinned():
+    # the strategy of every first-player win of a seeded corpus, fingerprinted;
+    # the hash was taken before the solver read its successors from a cached
+    # canonical order, so tree shape, moves and choices must not move
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    wins = 0
+    for _ in range(600):
+        pos = random_position(rng, max_worlds=4, max_side=3, max_props=2)
+        for m in range(4):
+            for k in range(3):
+                verdict = solve(GamePosition(m, k, pos.left, pos.right))
+                if isinstance(verdict, SpoilerWins):
+                    wins += 1
+                    lines: list[str] = []
+                    _strategy_lines(verdict.strategy, lines)
+                    digest.update("\n".join(lines).encode() + b"\n\n")
+    assert wins == 3127
+    assert digest.hexdigest() == "e564e70a931cce8e2c475ebe8f4d9d80cc4879a5381392b23b431fd6ba5a5911"
 
 
 @pytest.mark.parametrize("budget", [True, False, 2.5, 1.0, "1", None])
@@ -819,6 +918,60 @@ def test_solver_memo_keys_are_depth_m_classes(vv2, ee2):
         for m, _, left, right in solver.memo:
             classes = solver.decode(left | right)
             assert all(bisim.truncate_type(t, m) == t for t in classes), (pos, m)
+
+
+def _reference_cut(solver, mask: int, m: int) -> list[int]:
+    # the cut as computed before the solver kept cut bits per class
+    types = solver.decode(mask)
+    cuts = [solver.encode(bisim.truncate_type(t, d) for t in types) for d in range(m)]
+    cuts.append(mask)
+    return cuts
+
+
+def test_cut_matches_the_truncation_reference(vv2, ee2):
+    rng = random.Random(53)
+    positions = [GamePosition(5, 1, vv2, ee2)] + [random_position(rng, m=3) for _ in range(60)]
+    for pos in positions:
+        solver = game._Solver(pos, None, table=False)
+        full = (1 << len(solver.types)) - 1
+        masks = {0, full, *solver.root(pos.m)} | {1 << i for i in range(len(solver.types))}
+        masks |= {rng.randint(0, full) for _ in range(10)}
+        for mask in sorted(masks):
+            for m in range(pos.m + 1):
+                assert solver._cut(mask, m) == _reference_cut(solver, mask, m), (pos, mask, m)
+
+
+def test_literal_separates_matches_separates():
+    rng = random.Random(59)
+    positions = [random_position(rng, max_props=2) for _ in range(300)]
+    positions += [
+        GamePosition(0, 0, side, frozenset()) for side in (positions[0].left, frozenset())
+    ] + [GamePosition(0, 0, frozenset(), positions[1].right)]
+    seen = set()
+    for pos in positions:
+        signature = game.position_signature(pos)
+        for lit in game._literals(signature):
+            found = game._literal_separates(lit, pos)
+            assert found == separates(lit, pos.left, pos.right), (pos, lit)
+            seen.add((len(signature), type(lit).__name__, found))
+    # every kind of literal both separates and fails, and the empty signature occurs
+    assert {(kind, found) for _, kind, found in seen} == {
+        (kind, found) for kind in ("Bot", "Top", "Prop", "NegProp") for found in (True, False)
+    }
+    assert {size for size, _, _ in seen} == {0, 1, 2}
+
+
+def test_solve_makes_the_literal_list_once(monkeypatch, vv1, ee1):
+    # the root decision and the solver share the position's literal list
+    made = []
+    literals = game._literals
+    monkeypatch.setattr(game, "_literals", lambda signature: made.append(1) or literals(signature))
+    for m, k in ((0, 0), (1, 0), (2, 1), (3, 2)):
+        pos = GamePosition(m, k, vv1, ee1)
+        solve(pos)
+        solve(pos)
+        assert len(made) == 1
+        made.clear()
 
 
 def _oracle_frontier(oracle: VectorOracle, max_total: int) -> list[tuple[int, int]]:

@@ -21,6 +21,7 @@ from fsgame.kripke import (
     join,
     modelset_from_list,
     modelset_to_list,
+    ordered_successors,
     pointed_from_dict,
     pointed_to_dict,
     successors,
@@ -81,10 +82,40 @@ def test_successor_set_is_built_once_per_world():
 def test_caches_are_allocated_on_first_use():
     model = KripkeModel(["a", "b"], [("a", "b")], {"p": ["b"]})
     assert model._successors is None and model._canon is None and model._layers is None
+    assert model._ordered is None
     a, b = PointedModel(model, "a"), PointedModel(model, "b")
     key = canonical_key(a)
     assert model._canon == {"a": key} and canonical_key(PointedModel(model, "a")) is key
     assert canonical_key(b) != key and model._successors is None and model._layers is None
+    assert model._ordered is None
+    ordered = ordered_successors(a)
+    assert model._ordered == {"a": ordered} and ordered_successors(PointedModel(model, "a")) is ordered
+
+
+def _reference_order(p: PointedModel) -> list[PointedModel]:
+    # the order moves and strategies listed successors in before the cache
+    return sorted(successors(p), key=canonical_key)
+
+
+def test_ordered_successors_are_in_canonical_key_order():
+    # JSON escapes these names, so their canonical order is not the raw one
+    names = ["z", "\u00e9", 'a"b', "a\x01", "a\\b", "b"]
+    model = KripkeModel(["r", *names], [("r", w) for w in names] + [("b", "b"), ("z", "r")])
+    root = PointedModel(model, "r")
+    ordered = ordered_successors(root)
+    assert list(ordered) == _reference_order(root)
+    assert [p.point for p in ordered] != sorted(model.succ("r"))
+    assert [p.point for p in ordered][:4] == ["\u00e9", 'a"b', "a\\b", "a\x01"]
+    for w in model.worlds:
+        p = PointedModel(model, w)
+        assert list(ordered_successors(p)) == _reference_order(p)
+        assert frozenset(ordered_successors(p)) == successors(p)
+    rng = random.Random(23)
+    for _ in range(200):
+        p = random_pointed(rng, 5, ("p", "q"))
+        for w in p.model.worlds:
+            q = PointedModel(p.model, w)
+            assert list(ordered_successors(q)) == _reference_order(q)
 
 
 def test_pointed_models_over_equal_models_agree():
@@ -146,11 +177,12 @@ def test_pickled_models_rebuild_their_caches_where_loaded(tmp_path):
 def test_pickling_keeps_content_only():
     model = KripkeModel(["a", "b"], [("a", "b")], {"p": ["b"]})
     p = PointedModel(model, "a")
-    hash(p), successors(p), canonical_key(p)
+    hash(p), successors(p), canonical_key(p), ordered_successors(p)
     loaded = pickle.loads(pickle.dumps(p))
     assert loaded == p and hash(loaded) == hash(p)
     assert loaded.model is not model
     assert loaded.model._successors is None and loaded.model._canon is None
+    assert loaded.model._ordered is None
 
 
 def test_diamond_all(m_empty, vv1):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fsgame import bisim
-from fsgame.kripke import PointedModel
+from fsgame.kripke import KripkeModel, PointedModel
 from fsgame.logic import ml
 from fsgame.logic.ml import (
     BOT,
@@ -96,6 +96,31 @@ def test_eval_matches_the_pointwise_semantics():
             for w in sorted(p.model.worlds):
                 point = PointedModel(p.model, w)
                 assert eval_ml(point, f) == holds(p.model, f, w), (f, w)
+
+
+def test_modal_extents_match_the_per_world_reference():
+    # the extent of <> and [] as computed before it read the successor table:
+    # one successor lookup per world
+    def reference(f, model, memo):
+        child = ml.extent(f.child, model, memo)
+        if isinstance(f, Diamond):
+            return frozenset(w for w in model.worlds if not child.isdisjoint(model.succ(w)))
+        return frozenset(w for w in model.worlds if child.issuperset(model.succ(w)))
+
+    # self-loops (a, c), a dead end (d), and a world whose only successor is a dead end (b)
+    loops = KripkeModel(["a", "b", "c", "d"], [("a", "a"), ("a", "b"), ("b", "d"), ("c", "c")],
+                        {"p": ["a", "d"]})
+    rng = random.Random(43)
+    models = [loops] + [random_pointed(rng, 5, ("p",)).model for _ in range(40)]
+    children = list(enumerate_ml(1, 1, ("p",)))
+    for model in models:
+        memo: dict = {}
+        for g in children:
+            for f in (Diamond(g), Box(g)):
+                assert ml.extent(f, model, {}) == reference(f, model, memo), (f, model)
+    assert ml.extent(Diamond(TOP), loops, {}) == {"a", "b", "c"}
+    assert ml.extent(Box(BOT), loops, {}) == {"d"}
+    assert ml.extent(Box(Prop("p")), loops, {}) == {"b", "d"}
 
 
 def test_parse_examples():
