@@ -357,14 +357,17 @@ class _Solver:
     depth-m classes (``truncate_type(t, m) == t`` for every member), and the
     callers cut them.  ``bounded_type(p, m)`` and the children of depth-m
     classes already are such classes; only a split lowers the budget of a
-    branch, so ``_try_splits`` is the one place that truncates.  The universe
+    branch, so ``_split_formula`` is the one place that truncates.  The universe
     holds the children and the cuts of each of its classes.
 
     With a table the solver also keeps the truth vectors over its universe of
     the formulas within each budget, built on demand, and answers a memo miss
     None before trying any move when none of them separates the two sides
-    (``_separable``).  That cuts only subtrees D wins, so the search order and
-    the formulas found stay the same.  ``<>`` of a vector ORs one precomputed
+    (``_separable``).  It reads each split off the same vectors: the first
+    partition S wins, in the order the table-less walk tries them, comes from
+    the vectors that fit each part (``_first_winning_part``), and only that
+    partition is searched.  Both cut only subtrees D wins, so the formulas
+    found stay the same.  ``<>`` of a vector ORs one precomputed
     entry per byte of it (``_byte_tables``), and a pair of sides never scans
     a layer twice without a separator.  Each vector the table keeps is
     charged as one node, so ``node_limit`` bounds the table too and
@@ -511,41 +514,106 @@ class _Solver:
         return None
 
     def _try_splits(self, m: int, k: int, A: int, B: int, *, split_left: bool) -> MLFormula | None:
-        # A branch with modal budget d sees only depth-d classes, so it gets
-        # the cut at d of each set.  The memo is probed here, and ``win`` is
-        # called only on a miss.
+        # the first partition of the split side, in ``_anchored_partitions``
+        # order, whose two parts S wins at some split of the budget: read off
+        # the table when the solver keeps one, else found by walking them all
         side, other = (A, B) if split_left else (B, A)
-        memo = self.memo
+        if self._table is None:
+            partitions = self._partitions_of(side)
+        else:
+            part1 = self._first_winning_part(m, k, side, other, split_left)
+            partitions = [] if part1 is None else [(part1, side ^ part1)]
         others = self._cut(other, m)
-        for part1, part2 in self._partitions_of(side):
-            parts1 = self._cut(part1, m)
-            parts2 = None  # cut only once a first branch wins
-            for k1 in range(k):
-                k2 = k - 1 - k1
-                for m1 in range(m + 1):
-                    if split_left:
-                        key = (m1, k1, parts1[m1], others[m1])
-                    else:
-                        key = (m1, k1, others[m1], parts1[m1])
-                    f1 = memo.get(key, _MISS)
-                    if f1 is _MISS:
-                        f1 = self.win(*key)
-                    if f1 is None:
-                        continue
-                    if parts2 is None:
-                        parts2 = self._cut(part2, m)
-                    m2 = m - m1
-                    if split_left:
-                        key = (m2, k2, parts2[m2], others[m2])
-                    else:
-                        key = (m2, k2, others[m2], parts2[m2])
-                    f2 = memo.get(key, _MISS)
-                    if f2 is _MISS:
-                        f2 = self.win(*key)
-                    if f2 is None:
-                        continue
-                    return ml.Or(f1, f2) if split_left else ml.And(f1, f2)
+        for part1, part2 in partitions:
+            found = self._split_formula(m, k, part1, part2, others, split_left)
+            if found is not None:
+                return found
         return None
+
+    def _split_formula(
+        self, m: int, k: int, part1: int, part2: int, others: list[int], split_left: bool
+    ) -> MLFormula | None:
+        """The formula of the first budget split, k1-outer and m1-inner, at
+        which S wins both parts of one partition of a side, or None.
+
+        A branch with modal budget d sees only depth-d classes, so it gets the
+        cut at d of each set (``others`` is that of the side not split).  The
+        memo is probed here, and ``win`` is called only on a miss."""
+        memo = self.memo
+        parts1 = self._cut(part1, m)
+        parts2 = None  # cut only once a first branch wins
+        for k1 in range(k):
+            k2 = k - 1 - k1
+            for m1 in range(m + 1):
+                if split_left:
+                    key = (m1, k1, parts1[m1], others[m1])
+                else:
+                    key = (m1, k1, others[m1], parts1[m1])
+                f1 = memo.get(key, _MISS)
+                if f1 is _MISS:
+                    f1 = self.win(*key)
+                if f1 is None:
+                    continue
+                if parts2 is None:
+                    parts2 = self._cut(part2, m)
+                m2 = m - m1
+                if split_left:
+                    key = (m2, k2, parts2[m2], others[m2])
+                else:
+                    key = (m2, k2, others[m2], parts2[m2])
+                f2 = memo.get(key, _MISS)
+                if f2 is _MISS:
+                    f2 = self.win(*key)
+                if f2 is None:
+                    continue
+                return ml.Or(f1, f2) if split_left else ml.And(f1, f2)
+        return None
+
+    def _first_winning_part(
+        self, m: int, k: int, side: int, other: int, split_left: bool
+    ) -> int | None:
+        """Part 1 of the first partition of ``side``, in ``_anchored_partitions``
+        order, whose two parts S wins at some split (m1, k1) + (m2, k2) of
+        (m, k); None when no partition wins.  Read off the table, with no
+        search.
+
+        An or-split part P wins (m1, k1) iff P is inside some vector v within
+        (m1, k1) that misses ``other``; an and-split part wins iff it misses
+        some v that holds all of ``other``.  A formula of modal depth at most
+        m1 has the same truth on a depth-m class as on its cut at m1, so the
+        uncut masks answer for the cut ones.  The parts that win a budget are
+        thus the subsets of its projections s (side & v, or side & ~v for an
+        and-split).  A partition (anchor | sub, rest ^ sub) wins at a pair iff
+        some s1 holding the anchor and some s2 cover the side together, and
+        the least sub that s2 allows is rest & ~s2.  The layers within
+        (m, k - 1) are built where missing, kk-outer and mm-inner.
+        """
+        anchor = side & -side
+        rest = side ^ anchor
+        # budget -> the projections of the vectors within it
+        within: dict[tuple[int, int], set[int]] = {}
+        for kk in range(k):
+            for mm in range(m + 1):
+                layer = self._layer(mm, kk)
+                if split_left:
+                    found = {side & v for v in layer if not v & other}
+                else:
+                    found = {side & ~v for v in layer if v & other == other}
+                if mm:
+                    found |= within[mm - 1, kk]
+                if kk:
+                    found |= within[mm, kk - 1]
+                within[mm, kk] = found
+        best = None
+        for (m1, k1), projections in within.items():
+            for sub in sorted({rest & ~s2 for s2 in within[m - m1, k - 1 - k1]}):
+                if best is not None and sub >= best:
+                    break
+                need = anchor | sub
+                if any(s1 & need == need for s1 in projections):
+                    best = sub
+                    break
+        return None if best is None else anchor | best
 
     def _separable(self, m: int, k: int, A: int, B: int) -> bool:
         """Whether some formula within (m, k) holds on every class of A and on
@@ -562,9 +630,9 @@ class _Solver:
         a separator for these sides is not scanned again: each connective
         budget resumes at the first modal budget not yet scanned.  Layers
         below that point are built already, so the layers built, and when,
-        are those of a full scan.
+        are those of a full scan.  ``_first_winning_part`` builds its layers
+        through the same ``_layer``, in the same order.
         """
-        table = self._table
         scanned = self._scanned.get((A, B))
         if scanned is None:
             scanned = self._scanned[A, B] = []
@@ -573,14 +641,19 @@ class _Solver:
                 scanned.append(0)
             for mm in range(scanned[kk], m + 1):
                 # every budget below (mm, kk) comes earlier in this order
-                layer = table.get((mm, kk))
-                if layer is None:
-                    layer = table[mm, kk] = self._new_vectors(mm, kk)
-                for v in layer:
+                for v in self._layer(mm, kk):
                     if A & v == A and not v & B:
                         return True
                 scanned[kk] = mm + 1
         return False
+
+    def _layer(self, m: int, k: int) -> list[int]:
+        """Layer (m, k) of the table, built if missing; every layer below it
+        must be built already."""
+        layer = self._table.get((m, k))
+        if layer is None:
+            layer = self._table[m, k] = self._new_vectors(m, k)
+        return layer
 
     def _new_vectors(self, m: int, k: int) -> list[int]:
         """The truth vectors of the formulas of size exactly (m, k) that no

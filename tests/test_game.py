@@ -2,12 +2,15 @@ import gc
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 import types
 import weakref
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -773,32 +776,52 @@ def _scan_from_scratch(solver, m: int, k: int, A: int, B: int) -> bool:
 
 
 def test_scan_record_answers_like_a_full_scan(monkeypatch, vv2, ee2):
-    # every query of the n=2 frontier: the answer of the resumed scan is that
-    # of a full scan on a second table, and both tables build the same layers
-    # in the same order, so node counts do not move
-    queries, solvers = [], []
+    # every query of the n=2 frontier and of table-forced corpus solves: the
+    # answer of the resumed scan is that of a full scan on a second table.
+    # The second table also builds the layers a table-chosen split builds, so
+    # both tables build the same layers in the same order.
+    solvers = []
     plain = game._Solver
 
     class CheckedSolver(plain):
         def __init__(self, pos, node_limit, *, table):
             super().__init__(pos, node_limit, table=table)
             self.reference = plain(pos, node_limit, table=table)
+            self.queries = []
             solvers.append(self)
 
         def _separable(self, m, k, A, B):
             answer = super()._separable(m, k, A, B)
             assert answer == _scan_from_scratch(self.reference, m, k, A, B), (m, k, A, B)
             assert list(self._table) == list(self.reference._table)
-            queries.append((A, B))
+            self.queries.append((A, B))
             return answer
+
+        def _first_winning_part(self, m, k, side, other, split_left):
+            for kk in range(k):
+                for mm in range(m + 1):
+                    self.reference._layer(mm, kk)
+            return super()._first_winning_part(m, k, side, other, split_left)
 
     monkeypatch.setattr(game, "_Solver", CheckedSolver)
     frontier = minimal_separating(vv2, ee2, 15)
     (solver,) = solvers
     assert frontier == [(12, 3, parse_ml("([][]<>T | []<>[]F) & ([]<><>T | [][][]F)"))]
-    assert (len(queries), len(set(queries))) == (1_526, 118)
+    # the table picks every split, so the frontier asks about only 13 pairs
+    # of sides; the walk over every partition asked 1,526 queries about 118
+    assert (len(solver.queries), len(set(solver.queries))) == (116, 13)
     assert solver._table == solver.reference._table
-    assert solver.nodes == 3_531  # 2,401 search states plus 1,130 vectors
+    assert solver.nodes == 1_324  # 194 search states plus 1,130 vectors
+    # table-forced solves of the criterion-1 corpus ask about many more pairs
+    rng = random.Random(5)
+    for _ in range(60):
+        pos = random_position(rng, max_worlds=4, max_side=3, max_props=2)
+        for m in range(4):
+            for k in range(3):
+                checked = CheckedSolver(GamePosition(m, k, pos.left, pos.right), None, table=True)
+                checked.win(m, k, *checked.root(m))
+                assert checked._table == checked.reference._table
+    assert sum(len(set(checked.queries)) for checked in solvers[1:]) >= 100
 
 
 def test_scan_record_builds_the_layers_of_a_full_scan():
@@ -847,6 +870,102 @@ def test_n3_table_counts_and_stops_are_pinned(monkeypatch, vv2, ee2, vv3, ee3):
         with pytest.raises(SearchBudgetExceeded) as exc:
             run()
         assert exc.value.nodes == nodes
+
+
+def _first_split_by_search(solver, m: int, k: int, side: int, other: int, split_left: bool):
+    """Part 1 of the first partition of a side, in ``_anchored_partitions``
+    order, whose two parts S wins at some split of (m, k), each part asked
+    about at its cut with ``_separable``; None when no partition wins."""
+    others = solver._cut(other, m)
+    for part1, part2 in game._anchored_partitions(side):
+        parts1, parts2 = solver._cut(part1, m), solver._cut(part2, m)
+        for k1 in range(k):
+            for m1 in range(m + 1):
+                m2, k2 = m - m1, k - 1 - k1
+                if split_left:
+                    wins = solver._separable(m1, k1, parts1[m1], others[m1]) and solver._separable(
+                        m2, k2, parts2[m2], others[m2]
+                    )
+                else:
+                    wins = solver._separable(m1, k1, others[m1], parts1[m1]) and solver._separable(
+                        m2, k2, others[m2], parts2[m2]
+                    )
+                if wins:
+                    return part1
+    return None
+
+
+def test_table_picks_the_split_the_walk_finds(vv1, ee1, vv2, ee2):
+    # a solver with the table reads the first winning partition off its
+    # vectors, where a solver without one walks every partition: the
+    # formulas are the same, and the pick is the first partition S wins
+    picks = []
+
+    class RecordingSolver(game._Solver):
+        def _first_winning_part(self, m, k, side, other, split_left):
+            part1 = super()._first_winning_part(m, k, side, other, split_left)
+            picks.append((self, m, k, side, other, split_left, part1))
+            return part1
+
+    rng = random.Random(20240521)
+    cells = []
+    for _ in range(200):
+        pos = random_position(rng, max_worlds=4, max_side=3, max_props=2)
+        cells += [(pos.left, pos.right, m, k) for m in range(4) for k in range(3)]
+    for left, right in ((vv1, ee1), (vv2, ee2)):
+        cells += [(left, right, m, k) for m in range(6) for k in range(4)]
+    for left, right, m, k in cells:
+        pos = GamePosition(m, k, left, right)
+        table = RecordingSolver(pos, None, table=True)
+        walk = game._Solver(pos, None, table=False)
+        assert table.win(m, k, *table.root(m)) == walk.win(m, k, *walk.root(m)), pos
+    assert sum(part1 is not None for *_, part1 in picks) >= 100, len(picks)
+    for solver, m, k, side, other, split_left, part1 in picks:
+        assert part1 == _first_split_by_search(solver, m, k, side, other, split_left)
+
+
+def _wide_split(n: int) -> GamePosition:
+    """The 2^n single-world models over p0..p(n-1): left holds those where
+    (p0 & p1) | (p2 & p3) holds, right the others, at budget (0, 3)."""
+    props = [f"p{i}" for i in range(n)]
+    left, right = [], []
+    for bits in range(1 << n):
+        model = KripkeModel(["w"], [], {p: ["w"] if bits >> i & 1 else [] for i, p in enumerate(props)})
+        holds = bits & 3 == 3 or bits & 12 == 12
+        (left if holds else right).append(PointedModel(model, "w"))
+    return GamePosition(0, 3, left, right)
+
+
+_WIDE_SPLIT_SCRIPT = """
+import json, resource, sys
+from fsgame import game
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+with open(sys.argv[1], encoding="utf-8") as fh:
+    verdict = game.solve(game.position_from_dict(json.load(fh)))
+print(json.dumps(game.verdict_to_dict(verdict)))
+"""
+
+
+def test_wide_split_is_read_off_the_table(tmp_path):
+    # each model is its own class, so the root splits 2^(a-1) + 2^(b-1) ways
+    # over 2^n classes and solve keeps the table; the walk over every
+    # partition of the left side took 35,775 nodes at n=5 and ran out of
+    # memory at n=6, where the left side has 2^27 partitions
+    verdict = solve(_wide_split(5))
+    assert isinstance(verdict, SpoilerWins) and verdict.nodes == 5_160
+    assert verdict.formula == parse_ml("p1 & p0 | p3 & p2")
+    # n=6 runs in a child under a 2 GB address-space cap and a time limit,
+    # so a regression fails here and does not exhaust the machine's memory
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(position_to_dict(_wide_split(6))))
+    src = str(Path(game.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", _WIDE_SPLIT_SCRIPT, str(path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    verdict = json.loads(done.stdout)
+    assert (verdict["winner"], verdict["formula"]) == ("S", "p1 & p0 | p3 & p2")
 
 
 def _chain_against_loop(n: int) -> tuple[frozenset, frozenset]:
