@@ -60,6 +60,8 @@ def _layers(model: KripkeModel, depth: int) -> list[dict[str, int]]:
     The list is the model's own and may already reach deeper; callers that
     need exactly depths 0..depth slice it."""
     layers = model._layers
+    if layers is not None and len(layers) > depth:
+        return layers
     if layers is None:
         base = {w: TYPES.intern(model.props_at(w), frozenset()) for w in model.worlds}
         layers = model._layers = [base]

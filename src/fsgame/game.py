@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import kripke
 from .bisim import TYPES, BisimWitness, _layers, bounded_type, truncate_type
@@ -64,7 +64,7 @@ class StrategyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GamePosition:
     """A game position.  Sides given as any iterable are kept as frozensets.
 
@@ -77,15 +77,29 @@ class GamePosition:
     left: frozenset[PointedModel]
     right: frozenset[PointedModel]
 
-    def __post_init__(self) -> None:
-        if type(self.m) is not int or type(self.k) is not int:
-            raise ValueError(f"budgets must be integers, got m={self.m!r}, k={self.k!r}")
-        if self.m < 0 or self.k < 0:
+    def __init__(
+        self, m: int, k: int, left: Iterable[PointedModel], right: Iterable[PointedModel]
+    ) -> None:
+        # one plain __init__, as a search builds many positions: the frozen
+        # dataclass one and its __post_init__ cost more per position.  Each
+        # field is written once; writing through ``self.__dict__`` would be
+        # quicker still, but it gives every position a dict of its own, twice
+        # the memory
+        if type(m) is not int or type(k) is not int:
+            raise ValueError(f"budgets must be integers, got m={m!r}, k={k!r}")
+        if m < 0 or k < 0:
             raise ValueError("budgets must be non-negative")
-        if type(self.left) is not frozenset:
-            object.__setattr__(self, "left", frozenset(self.left))
-        if type(self.right) is not frozenset:
-            object.__setattr__(self, "right", frozenset(self.right))
+        if type(left) is not frozenset:
+            left = frozenset(left)
+        if type(right) is not frozenset:
+            right = frozenset(right)
+        _setattr(self, "m", m)
+        _setattr(self, "k", k)
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
+
+
+_setattr = object.__setattr__
 
 
 def position_signature(pos: GamePosition) -> frozenset[str]:
@@ -182,20 +196,24 @@ def _position_literals(pos: GamePosition) -> list[MLFormula]:
 
 def _literal_separates(lit: MLFormula, pos: GamePosition) -> bool:
     """``separates`` for a literal of ``_literals``, read off the members'
-    valuations."""
+    valuations.
+
+    Members are read in the order of ``separates``, the left side first, so
+    the first member whose model lacks the proposition is the one where
+    ``separates`` raises; here it raises ``KeyError``."""
     kind = type(lit)
     if kind is Bot:
         return not pos.left
     if kind is Top:
         return not pos.right
     # p holds on the left and fails on the right; ~p the other way round
-    holds, fails = (pos.left, pos.right) if kind is Prop else (pos.right, pos.left)
     name = lit.name
-    for p in holds:
-        if p.point not in p.model.valuation[name]:
+    on_left = kind is Prop
+    for p in pos.left:
+        if (p.point in p.model.valuation[name]) != on_left:
             return False
-    for q in fails:
-        if q.point in q.model.valuation[name]:
+    for q in pos.right:
+        if (q.point in q.model.valuation[name]) == on_left:
             return False
     return True
 
@@ -420,13 +438,11 @@ class _Solver:
             else:
                 truth = full ^ holds.get(lit.name, 0)
             self.literals.append((lit, truth, full ^ truth))
-        # per-bit child bits and cut bits, and per-mask images, unions,
-        # partitions and cuts
+        # per-bit child bits and cut bits, and per-mask images, unions and cuts
         self._children: list[list[int] | None] = [None] * size
         self._cut_rows: list[list[int] | None] = [None] * size
         self._images: dict[int, list[int]] = {}
         self._unions: dict[int, int] = {}
-        self._partitions: dict[int, list[tuple[int, int]]] = {}
         self._cuts: dict[tuple[int, int], list[int]] = {}
         if table is None:
             # a side has no more classes than members, so the members bound
@@ -516,10 +532,12 @@ class _Solver:
     def _try_splits(self, m: int, k: int, A: int, B: int, *, split_left: bool) -> MLFormula | None:
         # the first partition of the split side, in ``_anchored_partitions``
         # order, whose two parts S wins at some split of the budget: read off
-        # the table when the solver keeps one, else found by walking them all
+        # the table when the solver keeps one, else found by walking them all.
+        # The walk is lazy: each partition costs its ``win`` calls before the
+        # next is made, so the node budget stops a side of many classes
         side, other = (A, B) if split_left else (B, A)
         if self._table is None:
-            partitions = self._partitions_of(side)
+            partitions = _iter_partitions(side)
         else:
             part1 = self._first_winning_part(m, k, side, other, split_left)
             partitions = [] if part1 is None else [(part1, side ^ part1)]
@@ -758,12 +776,6 @@ class _Solver:
             self._images[side] = images
         return images
 
-    def _partitions_of(self, side: int) -> list[tuple[int, int]]:
-        partitions = self._partitions.get(side)
-        if partitions is None:
-            partitions = self._partitions[side] = _anchored_partitions(side)
-        return partitions
-
     def _cut(self, mask: int, m: int) -> list[int]:
         """The mask seen by a branch of modal budget d, for d = 0..m: its cut
         at each d < m, then the mask itself."""
@@ -814,19 +826,23 @@ def _choice_images(options: list[list[int]]) -> list[int]:
     return images
 
 
-def _anchored_partitions(side: int) -> list[tuple[int, int]]:
+def _iter_partitions(side: int) -> Iterator[tuple[int, int]]:
     """Every unordered partition of a side once: its lowest bit is pinned to
     part 1, and the submasks of the rest follow in increasing order."""
     anchor = side & -side
     rest = side ^ anchor
-    out = []
     sub = 0
     while True:
         part1 = anchor | sub
-        out.append((part1, side ^ part1))
+        yield part1, side ^ part1
         if sub == rest:
-            return out
+            return
         sub = (sub - rest) & rest
+
+
+def _anchored_partitions(side: int) -> list[tuple[int, int]]:
+    """``_iter_partitions`` as a list: the order the split walk follows."""
+    return list(_iter_partitions(side))
 
 
 @dataclass(frozen=True)
@@ -955,8 +971,11 @@ def _build_strategy(f: MLFormula, pos: GamePosition, extents: dict) -> SpoilerSt
         return SpoilerStrategy(pos, move, None, children)
     if isinstance(f, (ml.Diamond, ml.Box)):
         is_diamond = isinstance(f, ml.Diamond)
+        # the members in side order: a choice is a mapping, so its order
+        # does not matter, and each member picks its first successor in
+        # ``ordered_successors`` order where the child holds (or fails)
         choice = {}
-        for p in _sorted_members(pos.left if is_diamond else pos.right):
+        for p in pos.left if is_diamond else pos.right:
             succ = ordered_successors(p)
             choice[p] = next(s for s in succ if _holds(f.child, s, extents) == is_diamond)
         kind = LeftSucc if is_diamond else RightSucc
@@ -994,13 +1013,25 @@ def extract_formula(strategy: SpoilerStrategy) -> MLFormula:
 
 def verify_strategy(strategy: SpoilerStrategy) -> None:
     """Exhaustive playout of every branch; raises ``StrategyError`` unless all
-    leaves carry a literal that separates their position."""
+    leaves carry a literal (``T``, ``F``, ``p`` or ``~p``) that separates their
+    position.  A leaf with any other formula is refused even where it
+    separates: the moves it stands for would spend budget the position may
+    not have."""
     pos = strategy.position
     if strategy.move is None:
-        if strategy.literal is None:
+        literal = strategy.literal
+        if literal is None:
             raise StrategyError("leaf without a literal")
-        if not separates(strategy.literal, pos.left, pos.right):
-            raise StrategyError(f"leaf literal {strategy.literal} does not separate")
+        if type(literal) not in (Top, Bot, Prop, NegProp):
+            raise StrategyError(f"leaf carries {literal}, which is not a literal")
+        try:
+            ok = _literal_separates(literal, pos)
+        except KeyError:
+            # a member without the proposition: ``separates`` meets the same
+            # member first and raises its unknown-proposition error
+            ok = separates(literal, pos.left, pos.right)
+        if not ok:
+            raise StrategyError(f"leaf literal {literal} does not separate")
         return
     move = strategy.move
     try:

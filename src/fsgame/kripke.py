@@ -147,14 +147,19 @@ def ordered_successors(p: PointedModel) -> tuple[PointedModel, ...]:
     This is the order in which moves and strategies list successor choices.
     It is not the order of ``model.succ``: that sorts raw world names, while
     a canonical key sorts the JSON encoding, where escaped names such as
-    ``a"b`` or ``a\\x01`` sort by their escapes."""
+    ``a"b`` or ``a\\x01`` sort by their escapes.  The successors share the
+    model, so their canonical keys differ only in the encoded point, and a
+    JSON string is never a proper prefix of another: sorting by the point's
+    encoding alone gives the same order without encoding the model."""
     model = p.model
     cache = model._ordered
     if cache is None:
         cache = model._ordered = {}
     ordered = cache.get(p.point)
     if ordered is None:
-        ordered = cache[p.point] = tuple(sorted(successors(p), key=canonical_key))
+        ordered = cache[p.point] = tuple(
+            sorted(successors(p), key=lambda s: json.dumps(s.point))
+        )
     return ordered
 
 

@@ -1,8 +1,10 @@
+import dataclasses
 import gc
 import hashlib
 import itertools
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -44,7 +46,7 @@ from fsgame.game import (
     verdict_to_dict,
     verify_strategy,
 )
-from fsgame.kripke import KripkeModel, PointedModel, diamond_all, successors
+from fsgame.kripke import KripkeModel, PointedModel, diamond_all, ordered_successors, successors
 from fsgame.logic import ml
 from fsgame.logic.ml import BOT, TOP, Box, parse_ml, separates
 from oracles import VectorOracle, separator_exists_enum
@@ -144,6 +146,43 @@ def test_sides_are_kept_as_frozensets(m_empty, m_single, e1):
 
     pos = GamePosition(0, 0, Side(members), side)
     assert type(pos.left) is frozenset and pos.left == side and pos == GamePosition(0, 0, side, side)
+
+
+def test_position_contract(m_empty, m_single, e1, vv1, ee1):
+    # the checks and their messages, in order: integer budgets, then signs
+    for m, k, message in (
+        (1.0, 0, "budgets must be integers, got m=1.0, k=0"),
+        (0, True, "budgets must be integers, got m=0, k=True"),
+        (-1, "2", "budgets must be integers, got m=-1, k='2'"),
+        (-1, 0, "budgets must be non-negative"),
+        (0, -2, "budgets must be non-negative"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            GamePosition(m, k, {m_empty}, {m_single})
+        assert str(exc.value) == message
+    pos = GamePosition(m=2, k=1, left=iter([m_empty, m_single]), right=(e1,))
+    assert (pos.m, pos.k, pos.left, pos.right) == (2, 1, frozenset([m_empty, m_single]), frozenset([e1]))
+    assert [f.name for f in dataclasses.fields(pos)] == ["m", "k", "left", "right"]
+    for name in ("m", "left", "_literals"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(pos, name, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del pos.k
+    # equality and hash read the four fields only, not the literal cache
+    same = GamePosition(2, 1, {m_empty, m_single}, {e1})
+    literals = game._position_literals(pos)
+    assert game._position_literals(pos) is literals and pos.__dict__["_literals"] is literals
+    assert pos == same and hash(pos) == hash(same) == hash((2, 1, pos.left, pos.right))
+    assert pos != GamePosition(2, 0, pos.left, pos.right) and pos != (2, 1, pos.left, pos.right)
+    assert repr(same) == f"GamePosition(m=2, k=1, left={same.left!r}, right={same.right!r})"
+    # replace goes through the same checks
+    moved = dataclasses.replace(pos, m=0, right=[m_single])
+    assert moved == GamePosition(0, 1, pos.left, {m_single}) and type(moved.right) is frozenset
+    with pytest.raises(ValueError, match="non-negative"):
+        dataclasses.replace(pos, k=-1)
+    loaded = pickle.loads(pickle.dumps(GamePosition(3, 2, vv1, ee1)))
+    assert loaded == GamePosition(3, 2, vv1, ee1) and type(loaded.left) is frozenset
+    assert solve(loaded) == solve(GamePosition(3, 2, vv1, ee1))
 
 
 def test_legal_moves_empty_when_budgets_are_zero(m_empty, m_single):
@@ -368,6 +407,46 @@ def test_strategies_match_the_evaluator(vv2, ee2):
         verify_strategy(strategy)
 
 
+def _successor_nodes(node):
+    if isinstance(node.move, (LeftSucc, RightSucc)):
+        yield node
+    for child in node.children:
+        yield from _successor_nodes(child)
+
+
+def test_solve_strategies_need_no_canonical_key():
+    # successor order comes from each point's own encoding and a choice lists
+    # its members in side order, so a solve and its verification encode no
+    # model; the strategies are those of the canonical-order reference
+    rng = random.Random(20240521)
+    wins = choices = 0
+    for _ in range(200):
+        pos = random_position(rng, max_worlds=4, max_side=3, max_props=2)
+        models = {p.model for p in pos.left | pos.right}
+        strategies = []
+        for m in range(4):
+            for k in range(3):
+                verdict = solve(GamePosition(m, k, pos.left, pos.right))
+                if isinstance(verdict, SpoilerWins):
+                    verify_strategy(verdict.strategy)
+                    strategies.append(verdict)
+        assert all(model._canon is None for model in models), pos
+        for verdict in strategies:
+            wins += 1
+            strategy = verdict.strategy
+            assert strategy == _strategy_by_eval(verdict.formula, strategy.position)
+            # each member picks the first of its ordered successors where the
+            # child formula holds (<>) or fails ([])
+            for node in _successor_nodes(strategy):
+                child = extract_formula(node.children[0])
+                wanted = isinstance(node.move, LeftSucc)
+                for p, target in node.move.choice.items():
+                    first = next(s for s in ordered_successors(p) if ml.eval_ml(s, child) == wanted)
+                    assert target == first
+                    choices += 1
+    assert wins > 300 and choices > 300, (wins, choices)
+
+
 def test_strategy_from_formula_checks_symbols_like_separates(m_empty, m_single, prop_model):
     # mixed signatures: each member is checked where ``separates`` meets it
     only_q = PointedModel(prop_model.model, "c")
@@ -394,11 +473,52 @@ def test_strategy_from_formula_checks_symbols_like_separates(m_empty, m_single, 
                 strategy_from_formula(f, left, right)
 
 
-def test_verify_strategy_catches_tampering(m_empty, m_single):
+def test_verify_strategy_catches_tampering(m_empty, m_single, vv1, ee1, vv2, ee2):
     strategy = strategy_from_formula(Box(BOT), {m_empty}, {m_single})
     broken = game.SpoilerStrategy(strategy.position, None, TOP, ())
     with pytest.raises(StrategyError):
         verify_strategy(broken)
+    # a leaf must carry a literal: <>T separates a two-world chain from a
+    # dead end, but not within (0, 0), where D wins
+    chain = PointedModel(KripkeModel(["x", "y"], [("x", "y")], {}), "x")
+    dead = PointedModel(KripkeModel(["z"], [], {}), "z")
+    pos = GamePosition(0, 0, [chain], [dead])
+    assert isinstance(solve(pos), DuplicatorWins)
+    assert separates(ml.Diamond(TOP), pos.left, pos.right)
+    with pytest.raises(StrategyError, match="not a literal"):
+        verify_strategy(game.SpoilerStrategy(pos, None, ml.Diamond(TOP), ()))
+    # a split subtree collapsed into one leaf that carries its disjunction,
+    # which separates that leaf's position
+    witness = parse_ml("([][]<>T | []<>[]F) & ([]<><>T | [][][]F)")  # the n=2 frontier
+    strategy = strategy_from_formula(witness, vv2, ee2)
+    verify_strategy(strategy)
+    split = strategy.children[0]
+    assert isinstance(strategy.move, RightSplit) and isinstance(split.move, LeftSplit)
+    leaf = game.SpoilerStrategy(split.position, None, witness.left, ())
+    assert separates(witness.left, split.position.left, split.position.right)
+    with pytest.raises(StrategyError, match="not a literal"):
+        verify_strategy(dataclasses.replace(strategy, children=(leaf, strategy.children[1])))
+    # the whole tree collapsed into its root
+    with pytest.raises(StrategyError, match="not a literal"):
+        verify_strategy(game.SpoilerStrategy(strategy.position, None, witness, ()))
+    # a literal over a proposition a member lacks is the input error of
+    # ``separates``, also where a later member would fail it first
+    without_p = PointedModel(KripkeModel(["a"], [], {"q": []}), "a")
+    p_false = PointedModel(KripkeModel(["a"], [], {"p": []}), "a")
+    for pos, lit in (
+        (GamePosition(0, 0, vv1, ee1), ml.Prop("p")),
+        (GamePosition(0, 0, {without_p}, {p_false}), ml.NegProp("p")),
+        (GamePosition(0, 0, {p_false}, {without_p}), ml.NegProp("p")),
+    ):
+        with pytest.raises(ValueError, match="unknown proposition"):
+            separates(lit, pos.left, pos.right)
+        with pytest.raises(ValueError, match="unknown proposition"):
+            verify_strategy(game.SpoilerStrategy(pos, None, lit, ()))
+    # a member without the proposition after one that fails the literal
+    pos = GamePosition(0, 0, {p_false}, {without_p})
+    assert not separates(ml.Prop("p"), pos.left, pos.right)
+    with pytest.raises(StrategyError, match="does not separate"):
+        verify_strategy(game.SpoilerStrategy(pos, None, ml.Prop("p"), ()))
 
 
 def test_solve_budget_exceeded(vv2, ee2):
@@ -936,14 +1056,38 @@ def _wide_split(n: int) -> GamePosition:
     return GamePosition(0, 3, left, right)
 
 
-_WIDE_SPLIT_SCRIPT = """
-import json, resource, sys
+_CAPPED_SOLVE_SCRIPT = """
+import json, resource, sys, time
 from fsgame import game
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 with open(sys.argv[1], encoding="utf-8") as fh:
-    verdict = game.solve(game.position_from_dict(json.load(fh)))
-print(json.dumps(game.verdict_to_dict(verdict)))
+    pos = game.position_from_dict(json.load(fh))
+limit = int(sys.argv[2]) if len(sys.argv) > 2 else None
+start = time.perf_counter()
+try:
+    out = game.verdict_to_dict(game.solve(pos, node_limit=limit))
+except game.SearchBudgetExceeded as exc:
+    out = {"error": "budget-exceeded", "nodes": exc.nodes}
+out["seconds"] = time.perf_counter() - start
+print(json.dumps(out))
 """
+
+
+def _solve_capped(tmp_path, pos: GamePosition, node_limit: int | None = None) -> dict:
+    """``solve`` in a child under a 2 GB address-space cap and a time limit,
+    so a regression fails the test and does not exhaust the machine's memory:
+    the verdict as ``verdict_to_dict`` gives it, or the budget error, with the
+    seconds the call took."""
+    path = tmp_path / "position.json"
+    path.write_text(json.dumps(position_to_dict(pos)))
+    args = [] if node_limit is None else [str(node_limit)]
+    src = str(Path(game.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", _CAPPED_SOLVE_SCRIPT, str(path), *args],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
 
 
 def test_wide_split_is_read_off_the_table(tmp_path):
@@ -954,18 +1098,34 @@ def test_wide_split_is_read_off_the_table(tmp_path):
     verdict = solve(_wide_split(5))
     assert isinstance(verdict, SpoilerWins) and verdict.nodes == 5_160
     assert verdict.formula == parse_ml("p1 & p0 | p3 & p2")
-    # n=6 runs in a child under a 2 GB address-space cap and a time limit,
-    # so a regression fails here and does not exhaust the machine's memory
-    path = tmp_path / "wide.json"
-    path.write_text(json.dumps(position_to_dict(_wide_split(6))))
-    src = str(Path(game.__file__).resolve().parent.parent)
-    done = subprocess.run(
-        [sys.executable, "-c", _WIDE_SPLIT_SCRIPT, str(path)],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    verdict = json.loads(done.stdout)
+    # n=6 runs in a capped child
+    verdict = _solve_capped(tmp_path, _wide_split(6))
     assert (verdict["winner"], verdict["formula"]) == ("S", "p1 & p0 | p3 & p2")
+
+
+def _star(n: int) -> GamePosition:
+    """A root with one child where p0..p(n-1) all hold, against a root whose
+    2^n - 1 children carry the other valuations, at budget (1, 4).  Each root
+    is one class, so solve keeps no table, and ``<>`` opens a right side of
+    2^n - 1 classes."""
+    props = [f"p{i}" for i in range(n)]
+    one = KripkeModel(["r", "c"], [("r", "c")], {p: ["c"] for p in props})
+    children = [f"c{bits}" for bits in range((1 << n) - 1)]
+    valuation = {p: [f"c{bits}" for bits in range((1 << n) - 1) if bits >> i & 1] for i, p in enumerate(props)}
+    many = KripkeModel(["r", *children], [("r", c) for c in children], valuation)
+    return GamePosition(1, 4, [PointedModel(one, "r")], [PointedModel(many, "r")])
+
+
+def test_star_input_stops_at_its_node_budget(tmp_path):
+    # the split walk makes each partition only when it gets to it, so the
+    # node budget stops it; listing all of them first, 2^30 partitions at
+    # n=5, ran out of a 2 GB cap after about 5 s
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        solve(_star(4), node_limit=100)
+    assert exc.value.nodes == 101
+    out = _solve_capped(tmp_path, _star(5), node_limit=100)
+    assert (out["error"], out["nodes"]) == ("budget-exceeded", 101)
+    assert out["seconds"] < 5, out
 
 
 def _chain_against_loop(n: int) -> tuple[frozenset, frozenset]:

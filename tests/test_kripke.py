@@ -90,6 +90,9 @@ def test_caches_are_allocated_on_first_use():
     assert model._ordered is None
     ordered = ordered_successors(a)
     assert model._ordered == {"a": ordered} and ordered_successors(PointedModel(model, "a")) is ordered
+    # ordering successors encodes their points only, no canonical key
+    fresh = KripkeModel(["a", "b", "c"], [("a", "b"), ("a", "c")])
+    assert len(ordered_successors(PointedModel(fresh, "a"))) == 2 and fresh._canon is None
 
 
 def _reference_order(p: PointedModel) -> list[PointedModel]:
