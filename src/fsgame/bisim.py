@@ -14,7 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .kripke import KripkeModel, PointedModel, successors
+from .kripke import KripkeModel, PointedModel, generated, successors
+
+
+class _ChildKey(tuple):
+    """A sort key as an item of its parents' keys, equal to another child key
+    only when it is the same object, as classes are interned.  A tuple
+    comparison tests items for equality before it orders them, and a
+    structural test would walk two keys as deep as they agree at each level."""
+
+    __slots__ = ()
+    __eq__ = object.__eq__
+    __hash__ = tuple.__hash__
 
 
 class _TypeTable:
@@ -24,20 +35,29 @@ class _TypeTable:
         self._ids: dict[tuple[frozenset[str], frozenset[int]], int] = {}
         self._props: list[frozenset[str]] = []
         self._children: list[frozenset[int]] = []
-        self._keys: list[str] = []
+        self._keys: list[tuple] = []
+        self._child_keys: list[_ChildKey] = []
 
     def intern(self, props: frozenset[str], children: frozenset[int]) -> int:
         key = (props, children)
         tid = self._ids.get(key)
         if tid is None:
-            # the sort key first: an error while making it (a RecursionError
-            # deep in a search) must leave the three lists the same length
-            ckeys = sorted(self._keys[c] for c in children)
-            sort_key = "(" + ",".join(sorted(props)) + ";" + "|".join(ckeys) + ")"
+            # the keys first: an error while making them (a RecursionError deep
+            # in a search) must leave the lists the same length.  A key orders
+            # classes as their strings "(props;child|child)" do: its head keeps
+            # the props and 64 more characters, so equal heads leave it to the
+            # children's keys, in order.  It shares them, so it grows with the
+            # classes below it, not with their unfolding
+            ckeys = sorted([self._child_keys[c] for c in children])
+            text = "(" + ",".join(sorted(props)) + ";"
+            head = (text + "|".join([k[0] for k in ckeys]) + ")")[: len(text) + 64]
+            sort_key = (head, *ckeys)
+            child_key = _ChildKey(sort_key)
             tid = len(self._props)
             self._props.append(props)
             self._children.append(children)
             self._keys.append(sort_key)
+            self._child_keys.append(child_key)
             self._ids[key] = tid
         return tid
 
@@ -46,9 +66,6 @@ class _TypeTable:
 
     def children(self, tid: int) -> frozenset[int]:
         return self._children[tid]
-
-    def sort_key(self, tid: int) -> str:
-        return self._keys[tid]
 
 
 TYPES = _TypeTable()
@@ -172,18 +189,6 @@ def n_bisimilar(p: PointedModel, q: PointedModel, n: int) -> BisimWitness | None
     return BisimWitness(p, q, n)
 
 
-def _reachable(p: PointedModel) -> list[str]:
-    seen = {p.point}
-    frontier = [p.point]
-    while frontier:
-        w = frontier.pop()
-        for v in p.model.succ(w):
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return sorted(seen)
-
-
 def quotient(p: PointedModel, depth: int | None = None) -> PointedModel:
     """Collapse the reachable part under depth-bounded world equivalence.
 
@@ -192,7 +197,7 @@ def quotient(p: PointedModel, depth: int | None = None) -> PointedModel:
     equivalent in the unbounded case).
     """
     model = p.model
-    reach = _reachable(p)
+    reach = sorted(generated(p).model.worlds)
     if depth is None:
         depth = 0
         while True:

@@ -144,20 +144,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             )
         level = sorted(hierarchy.v_level(n, allow_large=args.allow_large))
         return _emit(args, f"level{n}.json", [s.encoding for s in level])
-    if args.vv is not None:
-        n = args.vv
+    for name, n, family, build in (
+        ("vv", args.vv, "singleton", hierarchy.vv_set),
+        ("ee", args.ee, "pair", hierarchy.ee_set),
+    ):
+        if n is None:
+            continue
         if n < 0:
-            raise ValueError("--vv must be non-negative")
-        if n > 4:
-            raise _Refusal(f"refusing to build the singleton family at n={n}")
-        return _emit_models(args, f"vv{n}", hierarchy.vv_set(n))
-    if args.ee is not None:
-        n = args.ee
-        if n < 0:
-            raise ValueError("--ee must be non-negative")
-        if n > 3:
-            raise _Refusal(f"refusing to build the pair family at n={n}")
-        return _emit_models(args, f"ee{n}", hierarchy.ee_set(n))
+            raise ValueError(f"--{name} must be non-negative")
+        if n > hierarchy.FAMILY_CAP:
+            raise _Refusal(f"refusing to build the {family} family at n={n}")
+        return _emit_models(args, f"{name}{n}", build(n))
     n = args.phi
     phi = fo.make_phi(n)
     psi = fo.make_psi(n)
@@ -236,9 +233,8 @@ def build_experiment_report(n: int, *, node_limit: int | None = None) -> Experim
     where no solver runs."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if node_limit is not None and (type(node_limit) is not int or node_limit < 0):
-        raise ValueError(f"node_limit must be a non-negative integer, got {node_limit!r}")
-    if n > 3:
+    game._node_limit(node_limit)
+    if n > hierarchy.FAMILY_CAP:
         raise _Refusal(f"the pair family at n={n} is not enumerable")
     started = time.perf_counter()
     psi, phi = fo.make_psi(n), fo.make_phi(n)

@@ -43,10 +43,10 @@ class SearchTooDeep(RecursionError):
     """The search nested deeper than Python's recursion limit; this is not a
     verdict.
 
-    The solver takes two frames per modal step, so a modal budget of a few
-    hundred over long chains of worlds can pass the limit.  ``m`` is the modal
-    budget of the query that nested too deep.  A ``RecursionError``, so
-    callers that refuse over-deep inputs catch it too."""
+    The solver takes two frames per modal step, and class sort keys nest as
+    deep as the classes, so long chains of worlds can pass the limit.  ``m``
+    is the modal budget of the query that nested too deep.  A
+    ``RecursionError``, so callers that refuse over-deep inputs catch it too."""
 
     def __init__(self, m: int) -> None:
         super().__init__(
@@ -365,7 +365,7 @@ class _Solver:
     to ``pos.m``; ``root(m)`` gives its two sides at budget m.  A side is an
     int bitmask over ``self.types``, the class universe of the solver: every
     depth-d class (``bisim._layers``, d <= pos.m) of every world of the
-    members' models, ordered by ``TYPES.sort_key``.  Bit i stands for
+    members' models, ordered by their ``TYPES._keys``.  Bit i stands for
     ``self.types[i]``, so reading a mask from its low bit up visits its
     classes in sort order.  Positions whose members are pairwise depth-m
     equivalent set the same bit and share memo entries, and successor choices
@@ -880,9 +880,9 @@ def solve(pos: GamePosition, *, node_limit: int | None = None) -> Verdict:
 
     Raises ``SearchBudgetExceeded`` (never a verdict) when the node ceiling is
     hit; it bounds search states and table vectors together.  Raises
-    ``SearchTooDeep``, a ``RecursionError``, when the search nests past the
-    recursion limit.  A negative ``node_limit`` is an input error
-    (``ValueError``).
+    ``SearchTooDeep``, a ``RecursionError``, when typing the root or the
+    search nests past the recursion limit.  A negative ``node_limit`` is an
+    input error (``ValueError``).
     """
     if _node_limit(node_limit) == 0:
         position_signature(pos)  # a mixed signature is an input error first
@@ -893,13 +893,13 @@ def solve(pos: GamePosition, *, node_limit: int | None = None) -> Verdict:
         return SpoilerWins(strategy=leaf, formula=status.literal, nodes=1)
     if isinstance(status, DWin):
         return DuplicatorWins(nodes=1)
-    left = {bounded_type(p, pos.m) for p in pos.left}
-    right = {bounded_type(q, pos.m) for q in pos.right}
-    if not left.isdisjoint(right):
-        # a shared depth-m class defeats every formula within the budget
-        return DuplicatorWins(nodes=1)
-    solver = _Solver(pos, node_limit)
     try:
+        left = {bounded_type(p, pos.m) for p in pos.left}
+        right = {bounded_type(q, pos.m) for q in pos.right}
+        if not left.isdisjoint(right):
+            # a shared depth-m class defeats every formula within the budget
+            return DuplicatorWins(nodes=1)
+        solver = _Solver(pos, node_limit)
         formula = solver.win(pos.m, pos.k, solver.encode(left), solver.encode(right))
         if formula is None:
             return DuplicatorWins(nodes=solver.nodes)
@@ -1139,19 +1139,20 @@ def minimal_separating(
     """
     if type(max_total) is not int or max_total < 0:
         raise ValueError(f"budget must be a non-negative integer, got {max_total!r}")
-    solver = _Solver(GamePosition(max_total, 0, a, b), node_limit, table=True)
     frontier: list[tuple[int, int, MLFormula]] = []
-    for total in range(max_total + 1):
-        for m in range(total + 1):
-            k = total - m
-            if any(fm <= m and fk <= k for fm, fk, _ in frontier):
-                continue
-            try:
+    m = max_total  # the budget the solver types its universe to
+    try:
+        solver = _Solver(GamePosition(max_total, 0, a, b), node_limit, table=True)
+        for total in range(max_total + 1):
+            for m in range(total + 1):
+                k = total - m
+                if any(fm <= m and fk <= k for fm, fk, _ in frontier):
+                    continue
                 formula = solver.win(m, k, *solver.root(m))
-            except RecursionError:
-                raise SearchTooDeep(m) from None
-            if formula is not None:
-                frontier.append((m, k, formula))
+                if formula is not None:
+                    frontier.append((m, k, formula))
+    except RecursionError:
+        raise SearchTooDeep(m) from None
     return sorted(frontier, key=lambda entry: (entry[0], entry[1]))
 
 

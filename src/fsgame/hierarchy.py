@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from typing import Iterable
 
 from .kripke import KripkeModel, PointedModel, join
@@ -107,18 +106,13 @@ def v_level(n: int, *, allow_large: bool = False) -> frozenset[HFSet]:
             f"level {n} is too large to enumerate"
             + (f"; pass allow_large=True for level {_LEVEL_MAX}" if n == _LEVEL_MAX else "")
         )
-    return _v_level(n)
-
-
-@lru_cache(maxsize=None)
-def _v_level(n: int) -> frozenset[HFSet]:
-    if n == 0:
-        return frozenset()
-    below = sorted(_v_level(n - 1))
-    out = []
-    for mask in range(1 << len(below)):
-        out.append(HFSet(e for i, e in enumerate(below) if mask >> i & 1))
-    return frozenset(out)
+    level: list[HFSet] = []
+    for _ in range(n):
+        below = sorted(level)
+        level = [
+            HFSet(e for i, e in enumerate(below) if mask >> i & 1) for mask in range(1 << len(below))
+        ]
+    return frozenset(level)
 
 
 def model_of(a: HFSet) -> PointedModel:
@@ -141,32 +135,33 @@ def model_of(a: HFSet) -> PointedModel:
     return PointedModel(KripkeModel(closure.keys(), edges, {}), a.encoding)
 
 
-def frame(n: int, *, allow_large: bool = False) -> KripkeModel:
+def frame(n: int) -> KripkeModel:
     """The full membership frame on level n (edge x -> y iff y in x)."""
-    level = v_level(n, allow_large=allow_large)
+    level = v_level(n)
     edges = {(x.encoding, y.encoding) for x in level for y in x.elements}
     return KripkeModel((x.encoding for x in level), edges, {})
 
 
-_VV_CAP = 4
-_EE_CAP = 3
+# The families stop at n = 3: level 4 has 16 sets and 120 pairs, while level 5
+# has 65,536 sets, too many to pair or to color.
+FAMILY_CAP = 3
+
+
+def _check_family(n: int) -> None:
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if n > FAMILY_CAP:
+        raise ValueError(f"n={n} is too large (the families stop at n={FAMILY_CAP})")
 
 
 def vv_set(n: int) -> frozenset[PointedModel]:
     """Fresh-root joins of the singleton families from level n+1."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n > _VV_CAP:
-        raise ValueError(f"n={n} is too large (level {n + 1} is not enumerable)")
-    level = v_level(n + 1, allow_large=(n + 1 == _LEVEL_MAX))
-    return frozenset(join([model_of(a)]) for a in level)
+    _check_family(n)
+    return frozenset(join([model_of(a)]) for a in v_level(n + 1))
 
 
 def ee_set(n: int) -> frozenset[PointedModel]:
     """Fresh-root joins of all unordered distinct pairs from level n+1."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n > _EE_CAP:
-        raise ValueError(f"n={n} is too large (the pair count explodes)")
+    _check_family(n)
     frames = [model_of(a) for a in sorted(v_level(n + 1))]
     return frozenset(join(pair) for pair in itertools.combinations(frames, 2))

@@ -60,14 +60,43 @@ def test_class_maps_grow_in_place_on_the_model():
 def test_an_intern_that_fails_leaves_the_type_table_whole():
     # an error while interning (a RecursionError deep in a search, here an
     # unknown child id) adds nothing, so later classes still get their keys
-    sizes = (len(TYPES._props), len(TYPES._children), len(TYPES._keys), len(TYPES._ids))
+    lists = (TYPES._props, TYPES._children, TYPES._keys, TYPES._child_keys, TYPES._ids)
+    sizes = tuple(map(len, lists))
     with pytest.raises(IndexError):
         TYPES.intern(frozenset(), frozenset([sizes[0] + 10]))
-    assert (len(TYPES._props), len(TYPES._children), len(TYPES._keys), len(TYPES._ids)) == sizes
+    assert tuple(map(len, lists)) == sizes
     leaf = TYPES.intern(frozenset(["unseen"]), frozenset())
     parent = TYPES.intern(frozenset(), frozenset([leaf]))
     assert (leaf, parent) == (sizes[0], sizes[0] + 1)
-    assert TYPES.sort_key(parent) == "(;(unseen;))"
+    assert TYPES._keys[parent] == ("(;(unseen;))", ("(unseen;)",))
+
+
+def _string_key(tid: int, memo: dict[int, str]) -> str:
+    # the class as a nested-parenthesis string: its propositions, then its
+    # children's strings in order; as long as the class's unfolding
+    key = memo.get(tid)
+    if key is None:
+        ckeys = sorted(_string_key(c, memo) for c in TYPES.children(tid))
+        key = memo[tid] = "(" + ",".join(sorted(TYPES.props(tid))) + ";" + "|".join(ckeys) + ")"
+    return key
+
+
+def test_sort_keys_order_classes_as_their_strings(vv1, ee1, vv2, ee2, vv3, ee3):
+    rng = random.Random(71)
+    models = [random_pointed(rng, max_worlds=5, props=("p", "q")).model for _ in range(600)]
+    models += [random_pointed(rng, props=("a", "a_", "ab", "b")).model for _ in range(600)]
+    depths = [5] * len(models)
+    for family in (vv1, ee1, vv2, ee2, vv3, ee3):
+        models += [p.model for p in family]
+        depths += [6] * len(family)
+    ids = set()
+    for model, depth in zip(models, depths):
+        for layer in _layers(model, depth)[: depth + 1]:
+            ids.update(layer.values())
+    memo: dict[int, str] = {}
+    by_tuple = sorted(ids, key=TYPES._keys.__getitem__)
+    assert by_tuple == sorted(ids, key=lambda t: _string_key(t, memo))
+    assert len(set(memo.values())) == len(ids) > 5_000
 
 
 def test_witness_layers_are_nested_and_valid(m_empty, m_single):

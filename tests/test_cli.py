@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -248,6 +249,11 @@ def test_gen_vv_files(capsys, tmp_path):
     assert len(written) == 4
     models = {kripke.read_pointed(path) for path in written}
     assert models == hierarchy.vv_set(2)
+    # n=4 would build 65,536 singleton models that no pair family matches
+    start = time.perf_counter()
+    code, _, err = run(capsys, "gen", "--vv", "4")
+    assert code == 1 and "refus" in err
+    assert time.perf_counter() - start < 5
 
 
 def test_gen_ee_stdout(capsys):

@@ -1128,6 +1128,42 @@ def test_star_input_stops_at_its_node_budget(tmp_path):
     assert out["seconds"] < 5, out
 
 
+def _ladder(m: int) -> GamePosition:
+    """Levels 0..m of worlds a_i, where p holds, and b_i, each with edges to
+    a_(i+1) and b_(i+1), pointed at a_0, against a one-world p-loop at budget
+    (m, 0).  A depth-m class unfolds to 2^m leaves."""
+    worlds = [f"{x}{i}" for i in range(m + 1) for x in "ab"]
+    edges = [(f"{x}{i}", f"{y}{i + 1}") for i in range(m) for x in "ab" for y in "ab"]
+    ladder = KripkeModel(worlds, edges, {"p": [f"a{i}" for i in range(m + 1)]})
+    loop = KripkeModel(["l"], [("l", "l")], {"p": ["l"]})
+    return GamePosition(m, 0, [PointedModel(ladder, "a0")], [PointedModel(loop, "l")])
+
+
+def test_class_keys_stay_small_on_deep_branching_models(tmp_path):
+    # a class's sort key shares its children's keys; pasting them into one
+    # string made a key as long as the unfolding: a 193 MB peak at m=22,
+    # four times more per +2 in m
+    out = _solve_capped(tmp_path, _ladder(40), node_limit=100)
+    assert (out["winner"], out["formula"], out["nodes"]) == ("S", "<>~p", 2)
+    assert out["seconds"] < 5, out
+
+
+def test_keys_that_agree_down_long_chains_order_quickly():
+    # a root with two chains of 400 worlds, p only at the end of one, against
+    # a loop without p: the universe holds 1,200 classes whose keys agree
+    # down hundreds of levels.  A child key is equal to another only when it
+    # is the same object; with structural equality, ordering them took 6 s
+    worlds = ["r"] + [f"{x}{i}" for x in "uv" for i in range(400)]
+    edges = [("r", "u0"), ("r", "v0")]
+    edges += [(f"{x}{i}", f"{x}{i + 1}") for x in "uv" for i in range(399)]
+    fork = KripkeModel(worlds, edges, {"p": ["u399"]})
+    loop = KripkeModel(["l"], [("l", "l")], {"p": []})
+    start = time.perf_counter()
+    verdict = solve(GamePosition(401, 0, [PointedModel(fork, "r")], [PointedModel(loop, "l")]))
+    assert isinstance(verdict, SpoilerWins)
+    assert time.perf_counter() - start < 2
+
+
 def _chain_against_loop(n: int) -> tuple[frozenset, frozenset]:
     """A chain of n worlds against a one-world loop: only a formula with n
     modal operators separates them."""

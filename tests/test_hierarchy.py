@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from fsgame import hierarchy
 from fsgame.hierarchy import (
     EMPTY_SET,
     HFSet,
@@ -52,6 +53,19 @@ def test_levels():
     assert len(v_level(5, allow_large=True)) == 65536
 
 
+def test_levels_are_iterated_powersets_and_not_cached():
+    level: frozenset = frozenset()
+    for n in range(5):
+        assert v_level(n) == level
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(level, r) for r in range(len(level) + 1)
+        )
+        level = frozenset(HFSet(s) for s in subsets)
+    # each call builds its level afresh, so nothing keeps level 5 alive
+    assert v_level(4) is not v_level(4)
+    assert not any(hasattr(value, "cache_info") for value in vars(hierarchy).values())
+
+
 def test_level_guards():
     with pytest.raises(ValueError):
         v_level(5)
@@ -98,8 +112,10 @@ def test_families(vv1, ee1, vv2, ee2):
 
 
 def test_family_guards():
-    with pytest.raises(ValueError):
-        vv_set(5)
+    # the families stop at n = 3, where level 4 has 16 sets
+    for n in (4, 5):
+        with pytest.raises(ValueError):
+            vv_set(n)
     with pytest.raises(ValueError):
         ee_set(4)
 
