@@ -70,7 +70,8 @@ class GamePosition:
 
     A position keeps the literal list of its signature once something asks
     for it (``_position_literals``), so a ``solve`` makes it once for its root
-    decision and its solver."""
+    decision and its solver; a responder's successor move keeps the successor
+    union of the side it leaves alone (``_advance``)."""
 
     m: int
     k: int
@@ -259,35 +260,32 @@ def _sorted_members(side: frozenset[PointedModel]) -> list[PointedModel]:
 def legal_moves(pos: GamePosition) -> list[Move]:
     """Every legal move: partition splits when k >= 1, all successor-choice
     functions on a side whose members all have successors when m >= 1."""
-    moves: list[Move] = []
-    if pos.k >= 1:
-        for split_left in (True, False):
-            side = pos.left if split_left else pos.right
-            # parts[mask] holds the members whose bits are set in mask
+    return list(_moves(pos))
+
+
+def _moves(pos: GamePosition) -> Iterator[Move]:
+    """The moves of ``legal_moves``, in its order, made one at a time."""
+    m, k = pos.m, pos.k
+    if k >= 1:
+        budgets = [(m1, k1, m - m1, k - 1 - k1) for k1 in range(k) for m1 in range(m + 1)]
+        for split, side in ((LeftSplit, pos.left), (RightSplit, pos.right)):
+            # parts[mask] holds the members whose bits are set in mask, so
+            # parts[full ^ mask] holds the rest of the side
             parts = [frozenset()]
             for p in _sorted_members(side):
                 parts += [part | {p} for part in parts]
-            for part1 in parts:
-                part2 = side - part1
-                for k1 in range(pos.k):
-                    k2 = pos.k - 1 - k1
-                    for m1 in range(pos.m + 1):
-                        m2 = pos.m - m1
-                        if split_left:
-                            moves.append(LeftSplit(m1, k1, part1, m2, k2, part2))
-                        else:
-                            moves.append(RightSplit(m1, k1, part1, m2, k2, part2))
-    if pos.m >= 1:
-        for is_left in (True, False):
-            side = pos.left if is_left else pos.right
+            full = len(parts) - 1
+            for mask, part1 in enumerate(parts):
+                part2 = parts[full ^ mask]
+                for m1, k1, m2, k2 in budgets:
+                    yield split(m1, k1, part1, m2, k2, part2)
+    if m >= 1:
+        for succ, side in ((LeftSucc, pos.left), (RightSucc, pos.right)):
             if not _side_can_advance(side):
                 continue
             members = _sorted_members(side)
-            options = [ordered_successors(p) for p in members]
-            for combo in itertools.product(*options):
-                choice = dict(zip(members, combo))
-                moves.append(LeftSucc(choice) if is_left else RightSucc(choice))
-    return moves
+            for combo in itertools.product(*map(ordered_successors, members)):
+                yield succ(dict(zip(members, combo)))
 
 
 def _check_split(pos: GamePosition, move: LeftSplit | RightSplit, is_left: bool) -> None:
@@ -301,7 +299,11 @@ def _check_split(pos: GamePosition, move: LeftSplit | RightSplit, is_left: bool)
         raise IllegalMoveError("split budgets do not add up")
     if min(move.m1, move.m2, move.k1, move.k2) < 0:
         raise IllegalMoveError("split budgets must be non-negative")
-    if not (part1 <= side and part2 <= side and part1 | part2 == side):
+    # disjoint parts whose sizes add up cover the side without a union built
+    if not (part1 <= side and part2 <= side) or (
+        not (len(part1) + len(part2) == len(side) and part1.isdisjoint(part2))
+        and part1 | part2 != side
+    ):
         raise IllegalMoveError("split sets must be subsets covering the split side")
 
 
@@ -319,12 +321,20 @@ def _check_succ(pos: GamePosition, move: LeftSucc | RightSucc, is_left: bool) ->
 _MOVES = (LeftSplit, RightSplit, LeftSucc, RightSucc)
 
 
+def _move_kind(move: object) -> type | None:
+    """The move type ``move`` moves as: its own type, or for a subclass the
+    first of the four types it is an instance of; None for a non-move."""
+    kind = type(move)
+    if kind in _MOVES:
+        return kind
+    return next((t for t in _MOVES if isinstance(move, t)), None)
+
+
 def apply_move(pos: GamePosition, move: Move, d_choice: str | None = None) -> GamePosition:
     """The position after S's move (and D's branch choice, for splits)."""
     kind = type(move)
     if kind not in _MOVES:
-        # a subclass moves as the first of the four types it is an instance of
-        kind = next((t for t in _MOVES if isinstance(move, t)), None)
+        kind = _move_kind(move)
     if kind is LeftSplit or kind is RightSplit:
         _check_split(pos, move, kind is LeftSplit)
         if d_choice not in ("left", "right"):
@@ -338,8 +348,12 @@ def apply_move(pos: GamePosition, move: Move, d_choice: str | None = None) -> Ga
     return _next_position(pos, kind, move, d_choice)
 
 
-def _next_position(pos: GamePosition, kind: type, move: Move, d_choice: str | None) -> GamePosition:
-    """The position after a legal move of type ``kind`` and D's branch choice."""
+def _next_position(
+    pos: GamePosition, kind: type, move: Move, d_choice: str | None, rest: frozenset | None = None
+) -> GamePosition:
+    """The position after a legal move of type ``kind`` and D's branch choice;
+    ``rest``, when given, is the successor union of the side a successor move
+    leaves alone."""
     if kind is LeftSplit:
         if d_choice == "left":
             return GamePosition(move.m1, move.k1, move.left1, pos.right)
@@ -350,9 +364,24 @@ def _next_position(pos: GamePosition, kind: type, move: Move, d_choice: str | No
         return GamePosition(move.m2, move.k2, pos.left, move.right2)
     # a legal choice is total on its side, so its values are the image
     image = frozenset(move.choice.values())
+    if rest is None:
+        rest = diamond_all(pos.right if kind is LeftSucc else pos.left)
     if kind is LeftSucc:
-        return GamePosition(pos.m - 1, pos.k, image, diamond_all(pos.right))
-    return GamePosition(pos.m - 1, pos.k, diamond_all(pos.left), image)
+        return GamePosition(pos.m - 1, pos.k, image, rest)
+    return GamePosition(pos.m - 1, pos.k, rest, image)
+
+
+def _advance(pos: GamePosition, kind: type, move: LeftSucc | RightSucc) -> GamePosition:
+    """``apply_move`` of a successor move of type ``kind``, for the
+    responders, which answer every move at a position: the successor union of
+    the side the move leaves alone is kept on the position, so a playout
+    builds it once per position rather than once per move."""
+    _check_succ(pos, move, kind is LeftSucc)
+    kept, name = pos.__dict__, "_right_union" if kind is LeftSucc else "_left_union"
+    rest = kept.get(name)
+    if rest is None:
+        rest = kept[name] = diamond_all(pos.right if kind is LeftSucc else pos.left)
+    return _next_position(pos, kind, move, None, rest)
 
 
 _MISS = object()
@@ -1055,15 +1084,19 @@ def duplicator_bisim_strategy(pos: GamePosition, witness: BisimWitness) -> "_Bis
     The witness must relate a member of the left set to a member of the right
     set at depth at least ``pos.m``.
     """
-    if witness.left not in pos.left:
-        raise ValueError("witness left model is not in the left set")
-    if witness.right not in pos.right:
-        raise ValueError("witness right model is not in the right set")
+    _check_pins(pos, witness.left, witness.right)
     if witness.depth < pos.m:
         raise ValueError(f"witness depth {witness.depth} is less than the modal budget {pos.m}")
     if bounded_type(witness.left, witness.depth) != bounded_type(witness.right, witness.depth):
         raise ValueError("witness pair is not equivalent at its stated depth")
     return _BisimResponder(pos, witness.left, witness.right)
+
+
+def _check_pins(pos: GamePosition, left: PointedModel, right: PointedModel) -> None:
+    if left not in pos.left:
+        raise ValueError("witness left model is not in the left set")
+    if right not in pos.right:
+        raise ValueError("witness right model is not in the right set")
 
 
 @dataclass
@@ -1075,14 +1108,18 @@ class _BisimResponder:
     pin_right: PointedModel
 
     def respond(self, move: Move) -> tuple[str | None, "_BisimResponder"]:
-        if isinstance(move, (LeftSplit, RightSplit)):
-            is_left = isinstance(move, LeftSplit)
+        pos, kind = self.position, _move_kind(move)
+        if kind is LeftSplit or kind is RightSplit:
+            is_left = kind is LeftSplit
             pin, part1 = (self.pin_left, move.left1) if is_left else (self.pin_right, move.right1)
             choice = "left" if pin in part1 else "right"
-            nxt = apply_move(self.position, move, choice)
+            _check_split(pos, move, is_left)
+            nxt = _next_position(pos, kind, move, choice)
             return choice, _BisimResponder(nxt, self.pin_left, self.pin_right)
-        nxt = apply_move(self.position, move, None)  # a non-move raises IllegalMoveError here
-        flip = isinstance(move, RightSucc)
+        if kind is None:
+            raise IllegalMoveError(f"not a move: {move!r}")
+        nxt = _advance(pos, kind, move)
+        flip = kind is RightSucc
         pin, other = (self.pin_right, self.pin_left) if flip else (self.pin_left, self.pin_right)
         moved = move.choice[pin]
         pair = (moved, _matching_successor(other, moved, nxt.m))
@@ -1103,18 +1140,29 @@ def exhaustive_playout(responder, literals: list[MLFormula] | None = None) -> bo
     Returns True iff no reachable terminal is a first-player win.  Every
     position of a game has the root's members or their successors, so the
     root's literal list (``literals``, made here when None) serves them all.
+    The moves at each position are those of ``legal_moves``, in its order,
+    made one at a time; every position reached gets one ``_terminal``
+    check, and only the ongoing ones are expanded.
     """
     pos = responder.position
     if literals is None:
         literals = _position_literals(pos)
     status = _terminal(pos, literals)
-    if isinstance(status, SWin):
-        return False
-    if isinstance(status, DWin):
-        return True
-    for move in legal_moves(pos):
-        _, nxt = responder.respond(move)
-        if not exhaustive_playout(nxt, literals):
+    if status is ONGOING:
+        return _play_out(responder, literals)
+    return not isinstance(status, SWin)
+
+
+def _play_out(responder, literals: list[MLFormula]) -> bool:
+    """``exhaustive_playout`` below a responder at an ongoing position."""
+    terminal = _terminal
+    for move in _moves(responder.position):
+        nxt = responder.respond(move)[1]
+        status = terminal(nxt.position, literals)
+        if status is ONGOING:
+            if not _play_out(nxt, literals):
+                return False
+        elif isinstance(status, SWin):
             return False
     return True
 

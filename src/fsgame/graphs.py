@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .bisim import n_bisimilar
+from .bisim import _check_signatures, bounded_type
+from .bisim import n_bisimilar  # noqa: F401  (kept importable here: a benchmark probe site)
 from .game import (
     GamePosition,
     IllegalMoveError,
@@ -22,8 +23,11 @@ from .game import (
     Move,
     RightSplit,
     RightSucc,
+    _advance,
+    _BisimResponder,
+    _check_pins,
+    _move_kind,
     apply_move,
-    duplicator_bisim_strategy,
 )
 from .hierarchy import model_of, parse_hf
 from .kripke import PointedModel, generated
@@ -181,8 +185,8 @@ class _ColoringResponder:
     labels: dict[PointedModel, tuple[str, ...]]
 
     def respond(self, move: Move) -> tuple[str | None, object]:
-        pos = self.position
-        if isinstance(move, (LeftSplit, RightSplit)):
+        pos, kind = self.position, _move_kind(move)
+        if kind is LeftSplit or kind is RightSplit:
             for name in ("left", "right"):
                 nxt = apply_move(pos, move, name)
                 if not nxt.left:
@@ -191,9 +195,9 @@ class _ColoringResponder:
                 if _fits(nxt.k, chi):
                     return name, _ColoringResponder(nxt, self.labels)
             raise StrategyInvariantBroken("no split branch preserves the coloring bound")
-        if isinstance(move, (LeftSucc, RightSucc)):
-            return None, self._hand_off(move)
-        raise IllegalMoveError(f"not a move: {move!r}")
+        if kind is None:
+            raise IllegalMoveError(f"not a move: {move!r}")
+        return None, self._hand_off(move)
 
     @cached_property
     def _pinned(self) -> tuple[str, dict[str, PointedModel], PointedModel]:
@@ -205,17 +209,23 @@ class _ColoringResponder:
         by_pair = {labels[member]: member for member in pos.right}
         return a, by_vertex, by_pair[(a, b)]
 
-    def _hand_off(self, move: LeftSucc | RightSucc):
+    def _hand_off(self, move: LeftSucc | RightSucc) -> _BisimResponder:
+        """The pinned-pair responder after a successor move.  The pair is
+        checked once, as ``n_bisimilar`` and then ``duplicator_bisim_strategy``
+        check it, and with their errors: signatures, equal depth-m classes,
+        then membership."""
         a, by_vertex, pair_member = self._pinned
-        nxt = apply_move(self.position, move, None)
-        if isinstance(move, LeftSucc):
+        kind = _move_kind(move)
+        nxt = _advance(self.position, kind, move)
+        if kind is LeftSucc:
             pin_left = move.choice[by_vertex[a]]
             pin_right = PointedModel(pair_member.model, a)
         else:
             pin_right = move.choice[pair_member]
             c = pin_right.point
             pin_left = PointedModel(by_vertex[c].model, c)
-        witness = n_bisimilar(pin_left, pin_right, nxt.m)
-        if witness is None:
+        _check_signatures(pin_left, pin_right)
+        if bounded_type(pin_left, nxt.m) != bounded_type(pin_right, nxt.m):
             raise StrategyInvariantBroken("duplicated model is not deeply equivalent")
-        return duplicator_bisim_strategy(nxt, witness)
+        _check_pins(nxt, pin_left, pin_right)
+        return _BisimResponder(nxt, pin_left, pin_right)

@@ -21,6 +21,7 @@ from fsgame.game import (
     D_WIN,
     ONGOING,
     DuplicatorWins,
+    DWin,
     GamePosition,
     IllegalMoveError,
     LeftSplit,
@@ -281,6 +282,59 @@ def test_apply_move_validation(m_empty, m_single, vv1, ee1):
         apply_move(split_pos, LeftSplit(0, 0, part1 := frozenset(), 0, 0, part1), "left")
     with pytest.raises(IllegalMoveError):
         apply_move(GamePosition(0, 0, vv1, ee1), ok, "left")
+
+
+def test_split_cover_check_stays_exact(vv1, ee1):
+    # parts whose sizes add up to the side's need not cover it: {a} and {a}
+    # miss the other member of a two-member side
+    assert len(vv1) == 2
+    a = sorted(vv1, key=game.canonical_key)[0]
+    pos = GamePosition(0, 1, vv1, ee1)
+    twice = LeftSplit(0, 0, frozenset([a]), 0, 0, frozenset([a]))
+    for choice in ("left", "right"):
+        with pytest.raises(IllegalMoveError, match="covering the split side"):
+            apply_move(pos, twice, choice)
+    responder = duplicator_bisim_strategy(GamePosition(0, 1, vv1, {a}), bisim.n_bisimilar(a, a, 0))
+    with pytest.raises(IllegalMoveError, match="covering the split side"):
+        responder.respond(twice)
+    # overlapping parts that cover the side stay legal
+    both = LeftSplit(0, 0, vv1, 0, 0, vv1)
+    assert apply_move(pos, both, "left") == GamePosition(0, 0, vv1, ee1)
+    assert apply_move(pos, both, "right") == GamePosition(0, 0, vv1, ee1)
+    flipped = GamePosition(0, 1, ee1, vv1)
+    with pytest.raises(IllegalMoveError, match="covering the split side"):
+        apply_move(flipped, RightSplit(0, 0, frozenset([a]), 0, 0, frozenset([a])), "left")
+    assert apply_move(flipped, RightSplit(0, 0, vv1, 0, 0, vv1), "left") == GamePosition(0, 0, ee1, vv1)
+
+
+def test_bisim_responder_answers_subclass_moves(m_single):
+    class MyLeftSplit(LeftSplit):
+        pass
+
+    class MyRightSucc(RightSucc):
+        pass
+
+    left_extra = PointedModel(KripkeModel(["z"], [("z", "z")]), "z")
+    pin, twin = m_single, unfold(m_single, 2)
+    pos = GamePosition(2, 1, frozenset([pin, left_extra]), frozenset([twin]))
+    responder = duplicator_bisim_strategy(pos, bisim.n_bisimilar(pin, twin, 2))
+    isolated, rest = frozenset([pin]), frozenset([left_extra])
+    succ_choice = {twin: next(iter(successors(twin)))}
+    for args, base, sub in (
+        ((2, 0, isolated, 0, 0, rest), LeftSplit, MyLeftSplit),
+        ((0, 0, rest, 2, 0, isolated), LeftSplit, MyLeftSplit),
+        ((succ_choice,), RightSucc, MyRightSucc),
+    ):
+        expected_choice, expected = responder.respond(base(*args))
+        choice, nxt = responder.respond(sub(*args))
+        assert choice == expected_choice
+        assert (nxt.position, nxt.pin_left, nxt.pin_right) == (
+            expected.position,
+            expected.pin_left,
+            expected.pin_right,
+        )
+    with pytest.raises(IllegalMoveError, match="not a move"):
+        responder.respond("pass")
 
 
 def test_apply_move_accepts_the_move_types_and_their_subclasses(m_empty, m_single, vv1, ee1):
@@ -1414,6 +1468,81 @@ def test_playout_reads_terminals_with_the_root_literals(monkeypatch):
         for left, right in ((empty, pos.right), (pos.left, empty), (empty, empty)):
             part = GamePosition(pos.m, pos.k, left, right)
             assert terminal(part, literals) == terminal_status(part)
+
+
+class _Recording:
+    """A responder that logs every answer of the one it wraps: the move, the
+    branch chosen and the position reached."""
+
+    def __init__(self, inner, log):
+        self.inner, self.log = inner, log
+
+    @property
+    def position(self):
+        return self.inner.position
+
+    def respond(self, move):
+        choice, nxt = self.inner.respond(move)
+        self.log.append((move, choice, nxt.position))
+        return choice, _Recording(nxt, self.log)
+
+
+def _reference_playout(responder, literals):
+    # the recursive playout over ``legal_moves``: each call checks its own
+    # position, then plays every move of the listed moves in order
+    status = game._terminal(responder.position, literals)
+    if isinstance(status, SWin):
+        return False
+    if isinstance(status, DWin):
+        return True
+    for move in legal_moves(responder.position):
+        _, nxt = responder.respond(move)
+        if not _reference_playout(nxt, literals):
+            return False
+    return True
+
+
+def _playout_traces(make_responder, monkeypatch):
+    """The result, answers and terminal checks of ``exhaustive_playout`` and of
+    the reference playout, each against a fresh responder."""
+    terminal = game._terminal
+    traces = []
+    for play in (exhaustive_playout, _reference_playout):
+        answers, checked = [], []
+
+        def counting(pos, literals):
+            checked.append(pos)
+            return terminal(pos, literals)
+
+        monkeypatch.setattr(game, "_terminal", counting)
+        responder = make_responder()
+        result = play(_Recording(responder, answers), game._position_literals(responder.position))
+        traces.append((result, answers, checked))
+    monkeypatch.setattr(game, "_terminal", terminal)
+    return traces
+
+
+def test_playout_trace_matches_the_move_list_recursion(monkeypatch, vv1, ee1, vv2, ee2):
+    # the same answers in the same order, the same positions checked, and a
+    # losing responder stopped at the same move
+    from fsgame.graphs import duplicator_coloring_strategy
+
+    cells = [(vv1, ee1, m, 0) for m in range(4)]
+    cells += [(vv2, ee2, 0, 1), (vv2, ee2, 3, 0), (vv2, ee2, 1, 1)]
+    for left, right, m, k in cells:
+        pos = GamePosition(m, k, left, right)
+        new, old = _playout_traces(lambda: duplicator_coloring_strategy(pos), monkeypatch)
+        assert new == old
+        assert new[0] is True and (new[1] or m == k == 0), (m, k)
+    rng = random.Random(67)
+    stops = []
+    for _ in range(40):
+        pos = random_position(rng, m=rng.randint(1, 2), k=1)
+        new, old = _playout_traces(lambda: _SecondBranch(pos), monkeypatch)
+        assert new == old
+        if new[0] is False:
+            stops.append(len(new[1]))
+    assert len(stops) > 20 and max(stops) > 10
 
 
 def test_minimal_separating_examples(m_empty, m_single, vv1, ee1):

@@ -4,9 +4,19 @@ import random
 import pytest
 
 from fsgame import game, graphs, hierarchy
-from fsgame.game import DuplicatorWins, GamePosition, LeftSucc, RightSucc, exhaustive_playout, solve
+from fsgame.game import (
+    DuplicatorWins,
+    GamePosition,
+    IllegalMoveError,
+    LeftSplit,
+    LeftSucc,
+    RightSucc,
+    exhaustive_playout,
+    solve,
+)
 from fsgame.graphs import (
     Graph,
+    StrategyInvariantBroken,
     chromatic_number,
     duplicator_coloring_strategy,
     graph_of,
@@ -205,6 +215,66 @@ def test_coloring_responder_builds_its_graph_once(vv2, ee2, monkeypatch):
     assert exhaustive_playout(duplicator_coloring_strategy(GamePosition(1, 1, vv2, ee2)))
     assert (len(seen), sum(hand_offs for _, hand_offs, _ in seen.values())) == (81, 1_961)
     assert all(built == 1 for _, _, built in seen.values())
+
+
+def test_coloring_responder_answers_subclass_moves(vv2, ee2):
+    class MyLeftSplit(LeftSplit):
+        pass
+
+    class MyRightSucc(RightSucc):
+        pass
+
+    pos = GamePosition(1, 1, vv2, ee2)
+    members = sorted(vv2, key=game.canonical_key)
+    split = (0, 0, frozenset(members[:2]), 1, 0, frozenset(members[2:]))
+    choice = next(move.choice for move in game.legal_moves(pos) if type(move) is RightSucc)
+    for args, base, sub in ((split, LeftSplit, MyLeftSplit), ((choice,), RightSucc, MyRightSucc)):
+        expected_branch, expected = duplicator_coloring_strategy(pos).respond(base(*args))
+        branch, nxt = duplicator_coloring_strategy(pos).respond(sub(*args))
+        assert branch == expected_branch
+        assert type(nxt) is type(expected) and nxt.position == expected.position
+    assert (nxt.pin_left, nxt.pin_right) == (expected.pin_left, expected.pin_right)
+    with pytest.raises(IllegalMoveError, match="not a move"):
+        duplicator_coloring_strategy(pos).respond("pass")
+
+
+def test_hand_off_fails_as_before(vv2, ee2, monkeypatch):
+    real = graphs._ColoringResponder._pinned.func
+
+    def pin_with(pinned):
+        # every coloring responder pins with pinned(a, by_vertex, pair_member)
+        patched = property(lambda self: pinned(*real(self)))
+        monkeypatch.setattr(graphs._ColoringResponder, "_pinned", patched)
+
+    pos = GamePosition(2, 1, vv2, ee2)
+    moves = game.legal_moves(pos)
+    left_move = next(move for move in moves if type(move) is LeftSucc)
+    right_moves = [move for move in moves if type(move) is RightSucc]
+    # the pinned vertex answered by the member of a vertex that is not
+    # equivalent to it: the pair fails the depth-m check
+    members = {graphs._labels(vv2, ee2)[member][0]: member for member in vv2}
+    pin_with(lambda a, by_vertex, pair: (a, {**by_vertex, a: members["{}"]}, pair))
+    with pytest.raises(StrategyInvariantBroken, match="^duplicated model is not deeply equivalent$"):
+        duplicator_coloring_strategy(pos).respond(left_move)
+    # the empty set pinned under a pair member that holds it two steps down:
+    # equivalent, but not a member of the right side
+    pair_member = next(m for m in ee2 if "{}" in m.model.worlds and "{}" not in m.model.succ("_root"))
+    pin_with(lambda a, by_vertex, pair: ("{}", by_vertex, pair_member))
+    with pytest.raises(ValueError, match="^witness right model is not in the right set$"):
+        duplicator_coloring_strategy(pos).respond(left_move)
+    # both at once: the equivalence is checked first
+    swapped = {**members, "{}": members["{{}}"]}
+    pin_with(lambda a, by_vertex, pair: ("{}", swapped, pair_member))
+    with pytest.raises(StrategyInvariantBroken, match="^duplicated model is not deeply equivalent$"):
+        duplicator_coloring_strategy(pos).respond(left_move)
+    # a chosen element pinned under a singleton join that holds it two steps
+    # down: equivalent, but not a member of the left side
+    move = next(m for m in right_moves if "{}" in {p.point for p in m.choice.values()})
+    chooser = next(pair for pair, p in move.choice.items() if p.point == "{}")
+    deep = next(m for m in vv2 if "{}" in m.model.worlds and "{}" not in m.model.succ("_root"))
+    pin_with(lambda a, by_vertex, pair: (a, {**by_vertex, "{}": deep}, chooser))
+    with pytest.raises(ValueError, match="^witness left model is not in the left set$"):
+        duplicator_coloring_strategy(pos).respond(move)
 
 
 def test_unwrap_checks_every_member_under_a_repeated_world(vv1):
