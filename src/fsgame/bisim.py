@@ -199,10 +199,13 @@ def quotient(p: PointedModel, depth: int | None = None) -> PointedModel:
     model = p.model
     reach = sorted(generated(p).model.worlds)
     if depth is None:
+        # a world's depth-(d+1) class fixes its depth-d class, so each
+        # partition refines the one before, and two are equal iff they have
+        # equally many blocks
         depth = 0
         while True:
             cur, nxt = _layers(model, depth + 1)[depth : depth + 2]
-            if _partition(cur, reach) == _partition(nxt, reach):
+            if len({cur[w] for w in reach}) == len({nxt[w] for w in reach}):
                 break
             depth += 1
     elif depth < 0:
@@ -223,13 +226,6 @@ def quotient(p: PointedModel, depth: int | None = None) -> PointedModel:
         for q, extent in model.valuation.items()
     }
     return PointedModel(KripkeModel(worlds, edges, valuation), name[p.point])
-
-
-def _partition(labels: dict[str, int], worlds: list[str]) -> frozenset[frozenset[str]]:
-    groups: dict[int, set[str]] = {}
-    for w in worlds:
-        groups.setdefault(labels[w], set()).add(w)
-    return frozenset(frozenset(g) for g in groups.values())
 
 
 def in_class_A(p: PointedModel, n: int) -> bool:

@@ -20,9 +20,6 @@ from . import game, graphs, hierarchy, kripke
 from . import bisim as bisim_mod
 from .logic import fo, ml
 
-MEMO_LIMIT_ENV = "FSGAME_MEMO_LIMIT"
-
-
 class _Refusal(Exception):
     pass
 
@@ -36,17 +33,10 @@ def _err(message: str) -> None:
 
 
 def _node_limit(args: argparse.Namespace) -> int | None:
-    limit = getattr(args, "node_limit", None)
-    if limit is not None:
-        if limit < 0:
-            raise ValueError(f"--node-limit must be non-negative, got {limit}")
-        return limit
-    env = os.environ.get(MEMO_LIMIT_ENV)
-    if not env:
-        return None
-    if not env.strip().isdecimal():
-        raise ValueError(f"{MEMO_LIMIT_ENV} must be a non-negative integer, got {env!r}")
-    return int(env)
+    limit = args.node_limit
+    if limit is not None and limit < 0:
+        raise ValueError(f"--node-limit must be non-negative, got {limit}")
+    return limit
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -54,6 +44,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     f = ml.parse_ml(args.formula)
     value = ml.eval_ml(p, f)
     trace: list[dict] = []
+    memo: dict = {}  # each subformula's extent, computed once
 
     def walk(node: ml.MLFormula) -> None:
         if isinstance(node, (ml.And, ml.Or)):
@@ -61,7 +52,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             walk(node.right)
         elif isinstance(node, (ml.Diamond, ml.Box)):
             walk(node.child)
-        trace.append({"subformula": ml.print_ml(node), "value": ml.eval_ml(p, node)})
+        holds = p.point in ml.extent(node, p.model, memo)
+        trace.append({"subformula": ml.print_ml(node), "value": holds})
 
     walk(f)
     sizes = ml.ml_sizes(f)
@@ -137,13 +129,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         n = args.level
         if n < 0:
             raise ValueError("--level must be non-negative")
-        if n > 5 or (n == 5 and not args.allow_large):
-            raise _Refusal(
-                f"refusing to enumerate level {n}"
-                + ("; pass --allow-large to enumerate level 5" if n == 5 else "")
-            )
-        level = sorted(hierarchy.v_level(n, allow_large=args.allow_large))
-        return _emit(args, f"level{n}.json", [s.encoding for s in level])
+        if n > hierarchy.LEVEL_MAX or (n > hierarchy.LEVEL_CAP and not args.allow_large):
+            flag = f"; pass --allow-large to enumerate level {n}" if n == hierarchy.LEVEL_MAX else ""
+            raise _Refusal(f"refusing to enumerate level {n}{flag}")
+        level = [s.encoding for s in sorted(hierarchy.v_level(n, allow_large=args.allow_large))]
+        return _emit(args, [(f"level{n}.json", level)], level)
     for name, n, family, build in (
         ("vv", args.vv, "singleton", hierarchy.vv_set),
         ("ee", args.ee, "pair", hierarchy.ee_set),
@@ -154,7 +144,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             raise ValueError(f"--{name} must be non-negative")
         if n > hierarchy.FAMILY_CAP:
             raise _Refusal(f"refusing to build the {family} family at n={n}")
-        return _emit_models(args, f"{name}{n}", build(n))
+        models = [kripke.pointed_to_dict(p) for p in sorted(build(n), key=kripke.canonical_key)]
+        return _emit(args, [(f"{name}{n}_{i:03d}.json", d) for i, d in enumerate(models)], models)
     n = args.phi
     phi = fo.make_phi(n)
     psi = fo.make_psi(n)
@@ -169,31 +160,21 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit(args: argparse.Namespace, filename: str, data: object) -> int:
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
+def _emit(args: argparse.Namespace, files: list[tuple[str, object]], data: object) -> int:
+    """Print ``data``; with ``--out``, write each (file name, JSON) pair of
+    ``files`` into that directory instead and print the paths written."""
+    if not args.out:
+        _out(data)
+        return 0
+    os.makedirs(args.out, exist_ok=True)
+    written = []
+    for filename, content in files:
         path = os.path.join(args.out, filename)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
+            json.dump(content, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        _out({"written": [path]})
-    else:
-        _out(data)
-    return 0
-
-
-def _emit_models(args: argparse.Namespace, stem: str, models) -> int:
-    ordered = sorted(models, key=kripke.canonical_key)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        written = []
-        for i, p in enumerate(ordered):
-            path = os.path.join(args.out, f"{stem}_{i:03d}.json")
-            kripke.write_pointed(path, p)
-            written.append(path)
-        _out({"written": written})
-    else:
-        _out([kripke.pointed_to_dict(p) for p in ordered])
+        written.append(path)
+    _out({"written": written})
     return 0
 
 
@@ -222,15 +203,21 @@ class ExperimentReport:
         return asdict(self)
 
 
-_GRID_CAPS = {1: (4, 2), 2: (3, 1)}
-_FRONTIER_BUDGET = {1: 5}
+# The rows the report fills beyond the certificate, per n: the (m, k) caps of
+# the solver grid and the largest size of the minimal frontier (None: no
+# frontier).  The separation check runs at every n listed; any other n gets the
+# chromatic certificate alone.
+_REPORT_ROWS: dict[int, tuple[tuple[int, int], int | None]] = {
+    1: ((4, 2), 5),
+    2: ((3, 1), None),
+}
 
 
 def build_experiment_report(n: int, *, node_limit: int | None = None) -> ExperimentReport:
-    """Assemble the report; the solver grid and the separation check run only
-    for n <= 2, larger n get the chromatic certificate alone.  A ``node_limit``
-    that is not a non-negative integer raises ``ValueError`` for every n, also
-    where no solver runs."""
+    """Assemble the report; the separation check, the solver grid and the
+    frontier run at the n of ``_REPORT_ROWS``, other n get the chromatic
+    certificate alone.  A ``node_limit`` that is not a non-negative integer
+    raises ``ValueError`` for every n, also where no solver runs."""
     if n < 1:
         raise ValueError("n must be at least 1")
     game._node_limit(node_limit)
@@ -242,27 +229,22 @@ def build_experiment_report(n: int, *, node_limit: int | None = None) -> Experim
     vv = hierarchy.vv_set(n)
     ee = hierarchy.ee_set(n)
 
-    separation = None
-    if n <= 2:
-        vv_ok = all(fo.eval_fo(p.model, phi, {"x": p.point}) for p in vv)
-        ee_ok = all(not fo.eval_fo(p.model, phi, {"x": p.point}) for p in ee)
-        separation = {
-            "vv_all_true": vv_ok,
-            "ee_all_false": ee_ok,
-            "vv_count": len(vv),
-            "ee_count": len(ee),
-        }
-
     chi = graphs.chromatic_number(graphs.graph_of(vv, ee))
     chromatic = {
         "chi": chi,
         "duplicator_wins_k_up_to": (chi - 1).bit_length() - 1 if chi >= 2 else None,
     }
 
-    grid = None
-    frontier = None
-    if n <= 2:
-        m_cap, k_cap = _GRID_CAPS[n]
+    separation = grid = frontier = None
+    rows = _REPORT_ROWS.get(n)
+    if rows is not None:
+        (m_cap, k_cap), frontier_size = rows
+        separation = {
+            "vv_all_true": all(fo.eval_fo(p.model, phi, {"x": p.point}) for p in vv),
+            "ee_all_false": all(not fo.eval_fo(p.model, phi, {"x": p.point}) for p in ee),
+            "vv_count": len(vv),
+            "ee_count": len(ee),
+        }
         grid = []
         for m in range(m_cap + 1):
             for k in range(k_cap + 1):
@@ -276,10 +258,9 @@ def build_experiment_report(n: int, *, node_limit: int | None = None) -> Experim
                     cell.update(game.verdict_to_dict(verdict))
                 cell["seconds"] = round(time.perf_counter() - cell_start, 6)
                 grid.append(cell)
-        budget = _FRONTIER_BUDGET.get(n)
-        if budget is not None:
+        if frontier_size is not None:
             frontier = _frontier_rows(
-                game.minimal_separating(vv, ee, budget, node_limit=node_limit)
+                game.minimal_separating(vv, ee, frontier_size, node_limit=node_limit)
             )
 
     return ExperimentReport(
@@ -310,46 +291,52 @@ def _describe_member(i: int, p: kripke.PointedModel) -> str:
 
 def _print_position(pos: game.GamePosition) -> None:
     print(f"position: m={pos.m} k={pos.k}")
-    print("left:" if pos.left else "left: (empty)")
-    for i, p in enumerate(game._sorted_members(pos.left)):
-        print(_describe_member(i, p))
-    print("right:" if pos.right else "right: (empty)")
-    for i, p in enumerate(game._sorted_members(pos.right)):
-        print(_describe_member(i, p))
-
-
-def _member_labels(side) -> dict:
-    return {p: f"#{i}" for i, p in enumerate(game._sorted_members(side))}
+    for name, side in (("left", pos.left), ("right", pos.right)):
+        print(f"{name}:" if side else f"{name}: (empty)")
+        for i, p in enumerate(game._sorted_members(side)):
+            print(_describe_member(i, p))
 
 
 def _describe_move(pos: game.GamePosition, move: game.Move) -> str:
+    is_left = isinstance(move, (game.LeftSplit, game.LeftSucc))
+    side = "left" if is_left else "right"
+    labels = {
+        p: f"#{i}" for i, p in enumerate(game._sorted_members(pos.left if is_left else pos.right))
+    }
     if isinstance(move, (game.LeftSplit, game.RightSplit)):
-        is_left = isinstance(move, game.LeftSplit)
-        labels = _member_labels(pos.left if is_left else pos.right)
-        part1 = move.left1 if is_left else move.right1
-        part2 = move.left2 if is_left else move.right2
+        part1, part2 = (move.left1, move.left2) if is_left else (move.right1, move.right2)
         fmt = lambda part: "{" + ",".join(sorted(labels[p] for p in part)) + "}"
-        side = "left" if is_left else "right"
         return (
             f"{side}-split (m1={move.m1},k1={move.k1}) {fmt(part1)}"
             f" / (m2={move.m2},k2={move.k2}) {fmt(part2)}"
         )
-    is_left = isinstance(move, game.LeftSucc)
-    labels = _member_labels(pos.left if is_left else pos.right)
     picks = ", ".join(
         f"{labels[p]}->{target.point!r}"
         for p, target in sorted(move.choice.items(), key=lambda kv: labels[kv[0]])
     )
-    return f"{'left' if is_left else 'right'}-succ [{picks}]"
+    return f"{side}-succ [{picks}]"
 
 
-def _prompt(text: str) -> str | None:
-    try:
-        line = input(text)
-    except EOFError:
-        return None
-    line = line.strip()
-    return None if line.lower() in ("q", "quit") else line
+_BRANCHES = {"l": "left", "left": "left", "r": "right", "right": "right"}
+
+
+def _ask(prompt: str, menu: list[str], read, refusal: str):
+    """Print the menu and prompt until ``read`` accepts the answer, and return
+    what it read; None once the user quits (``q``, ``quit`` or end of input)."""
+    while True:
+        for line in menu:
+            print(line)
+        try:
+            answer = input(prompt).strip()
+        except EOFError:
+            answer = "q"
+        if answer.lower() in ("q", "quit"):
+            print("quit")
+            return None
+        choice = read(answer)
+        if choice is not None:
+            return choice
+        print(refusal)
 
 
 def _cmd_play(args: argparse.Namespace) -> int:
@@ -368,18 +355,18 @@ def _cmd_play(args: argparse.Namespace) -> int:
             return 0
         moves = game.legal_moves(pos)
         if user_is_s:
-            move = None
-            while move is None:
-                for i, candidate in enumerate(moves):
-                    print(f"  [{i}] {_describe_move(pos, candidate)}")
-                answer = _prompt("S move number> ")
-                if answer is None:
-                    print("quit")
-                    return 0
+
+            def numbered(answer: str) -> game.Move | None:
                 try:
-                    move = moves[int(answer)]
-                except (ValueError, IndexError):
-                    print("illegal move, try again")
+                    i = int(answer)
+                except ValueError:
+                    return None
+                return moves[i] if 0 <= i < len(moves) else None
+
+            menu = [f"  [{i}] {_describe_move(pos, move)}" for i, move in enumerate(moves)]
+            move = _ask("S move number> ", menu, numbered, "illegal move, try again")
+            if move is None:
+                return 0
         else:
             verdict = game.solve(pos, node_limit=limit)
             if isinstance(verdict, game.SpoilerWins) and verdict.strategy.move is not None:
@@ -387,36 +374,20 @@ def _cmd_play(args: argparse.Namespace) -> int:
             else:
                 move = moves[0]
             print(f"S plays {_describe_move(pos, move)}")
+        choice = None
         if isinstance(move, (game.LeftSplit, game.RightSplit)):
-            if user_is_s:
-                branches = {
-                    "left": game.apply_move(pos, move, "left"),
-                    "right": game.apply_move(pos, move, "right"),
-                }
-                choice = None
-                for name, branch in branches.items():
-                    verdict = game.solve(branch, node_limit=limit)
+            if user_is_s:  # the machine takes the first branch that it wins, else the left
+                choice = "left"
+                for branch in ("left", "right"):
+                    verdict = game.solve(game.apply_move(pos, move, branch), node_limit=limit)
                     if isinstance(verdict, game.DuplicatorWins):
-                        choice = name
+                        choice = branch
                         break
-                choice = choice or "left"
-                print(f"D chooses the {choice} branch")
             else:
-                choice = None
-                while choice is None:
-                    answer = _prompt("D branch (l/r)> ")
-                    if answer is None:
-                        print("quit")
-                        return 0
-                    if answer in ("l", "left"):
-                        choice = "left"
-                    elif answer in ("r", "right"):
-                        choice = "right"
-                    else:
-                        print("illegal choice, try again")
-                print(f"D chooses the {choice} branch")
-        else:
-            choice = None
+                choice = _ask("D branch (l/r)> ", [], _BRANCHES.get, "illegal choice, try again")
+                if choice is None:
+                    return 0
+            print(f"D chooses the {choice} branch")
         pos = game.apply_move(pos, move, choice)
 
 

@@ -92,19 +92,23 @@ def tower(n: int) -> int:
     return value
 
 
-# |level 5| = 65536 is the enumeration ceiling; level 5 only behind the flag.
-_LEVEL_CAP = 4
-_LEVEL_MAX = 5
+# |level 5| = 65536 is the enumeration ceiling: levels up to LEVEL_CAP are
+# listed freely, LEVEL_MAX only behind a flag.  The families stop at n = 3:
+# level 4 has 16 sets and 120 pairs, while level 5 has 65,536 sets, too many to
+# pair or to color.
+LEVEL_CAP = 4
+LEVEL_MAX = 5
+FAMILY_CAP = 3
 
 
 def v_level(n: int, *, allow_large: bool = False) -> frozenset[HFSet]:
     """The n-th iterated powerset of the empty set."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n > _LEVEL_MAX or (n > _LEVEL_CAP and not allow_large):
+    if n > LEVEL_MAX or (n > LEVEL_CAP and not allow_large):
         raise ValueError(
             f"level {n} is too large to enumerate"
-            + (f"; pass allow_large=True for level {_LEVEL_MAX}" if n == _LEVEL_MAX else "")
+            + (f"; pass allow_large=True for level {LEVEL_MAX}" if n == LEVEL_MAX else "")
         )
     level: list[HFSet] = []
     for _ in range(n):
@@ -140,11 +144,6 @@ def frame(n: int) -> KripkeModel:
     level = v_level(n)
     edges = {(x.encoding, y.encoding) for x in level for y in x.elements}
     return KripkeModel((x.encoding for x in level), edges, {})
-
-
-# The families stop at n = 3: level 4 has 16 sets and 120 pairs, while level 5
-# has 65,536 sets, too many to pair or to color.
-FAMILY_CAP = 3
 
 
 def _check_family(n: int) -> None:

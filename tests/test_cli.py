@@ -162,15 +162,23 @@ def test_solve_refuses_positions_nested_past_the_recursion_limit(capsys, tmp_pat
         assert err == "refused: the input nests deeper than the recursion limit\n"
 
 
-def test_solve_env_node_limit(capsys, files, monkeypatch):
-    monkeypatch.setenv(cli.MEMO_LIMIT_ENV, "2")
-    code, out, _ = run(
-        capsys,
-        "solve",
-        "--left", files["vv1"], "--right", files["ee1"], "--m", "4", "--k", "1",
-    )
-    assert code == 1
-    assert json.loads(out)["error"] == "budget-exceeded"
+def test_bisim_refuses_classes_nested_past_the_recursion_limit(capsys, tmp_path):
+    # a root with two 1,200-world chains that differ only at their ends: their
+    # classes at depth 1,300 have sort keys that agree 1,200 levels deep, and
+    # ordering them passes the recursion limit
+    n = 1_200
+    chains = [[f"{x}{i}", f"{x}{i + 1}"] for x in "ab" for i in range(n - 1)]
+    model = {
+        "worlds": ["r"] + [f"{x}{i}" for x in "ab" for i in range(n)],
+        "edges": [["r", "a0"], ["r", "b0"], *chains],
+        "valuation": {"p": [f"a{n - 1}"]},
+        "point": "r",
+    }
+    path = tmp_path / "chains.json"
+    path.write_text(json.dumps(model))
+    code, out, err = run(capsys, "bisim", str(path), str(path), "--depth", "1300")
+    assert code == 1 and out == ""
+    assert err == "refused: the input nests deeper than the recursion limit\n"
 
 
 @pytest.mark.parametrize(
@@ -187,21 +195,6 @@ def test_negative_node_limit_is_an_input_error(capsys, files, command):
     )
     assert code == 2 and out == ""
     assert "--node-limit" in err
-
-
-@pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
-def test_bad_env_node_limit_is_an_input_error(capsys, files, monkeypatch, value):
-    monkeypatch.setenv(cli.MEMO_LIMIT_ENV, value)
-    code, out, err = run(capsys, "solve", files["pos_simple"])
-    assert code == 2 and out == ""
-    assert cli.MEMO_LIMIT_ENV in err
-
-
-def test_zero_env_node_limit_is_a_budget(capsys, files, monkeypatch):
-    monkeypatch.setenv(cli.MEMO_LIMIT_ENV, "0")
-    code, out, _ = run(capsys, "solve", files["pos_simple"])
-    assert code == 1
-    assert json.loads(out) == {"error": "budget-exceeded", "nodes": 1}
 
 
 def test_solve_is_deterministic(capsys, files):
@@ -389,6 +382,16 @@ def test_play_quit_and_reprompt(capsys, files, monkeypatch):
     assert "quit" in out
 
 
+def test_play_refuses_a_negative_move_number(capsys, files, monkeypatch):
+    # a negative number is out of range like any other, not an index from the end
+    answers = iter(["-1", "q"])
+    monkeypatch.setattr("builtins.input", lambda prompt="": next(answers))
+    code, out, _ = run(capsys, "play", files["pos_simple"], "--as", "S")
+    assert code == 0
+    assert out.count("illegal move") == 1
+    assert "quit" in out and "wins" not in out
+
+
 def test_play_as_spoiler_without_a_win(capsys, tmp_path, m_empty, monkeypatch):
     # identical models on both sides: the machine duplicator survives to a
     # terminal the second player wins
@@ -400,3 +403,65 @@ def test_play_as_spoiler_without_a_win(capsys, tmp_path, m_empty, monkeypatch):
     code, out, _ = run(capsys, "play", str(path), "--as", "S")
     assert code == 0
     assert "D wins" in out
+
+
+def _script(monkeypatch, *answers) -> None:
+    """Answer the play prompts in order, echoing each prompt to stdout as
+    ``input`` does when stdin is not a terminal."""
+    replies = iter(answers)
+
+    def answer(prompt=""):
+        print(prompt, end="")
+        return next(replies)
+
+    monkeypatch.setattr("builtins.input", answer)
+
+
+_LEFT_1 = (
+    "  #0: point='_root' worlds=['_root', '{{}}', '{}'] edges=[('_root', '{{}}'), ('{{}}', '{}')]\n"
+    "  #1: point='_root' worlds=['_root', '{}'] edges=[('_root', '{}')]\n"
+)
+_RIGHT_1 = (
+    "  #0: point='_root' worlds=['_root', '{{}}', '{}']"
+    " edges=[('_root', '{{}}'), ('_root', '{}'), ('{{}}', '{}')]\n"
+)
+
+
+def test_play_as_spoiler_transcript(capsys, tmp_path, vv1, ee1, monkeypatch):
+    path = tmp_path / "pos.json"
+    path.write_text(json.dumps(position_to_dict(GamePosition(2, 0, vv1, ee1))))
+    _script(monkeypatch, "abc", "1", "q")
+    code, out, err = run(capsys, "play", str(path), "--as", "S")
+    menu = (
+        "  [0] left-succ [#0->'{{}}', #1->'{}']\n"
+        "  [1] right-succ [#0->'{{}}']\n"
+        "  [2] right-succ [#0->'{}']\n"
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "position: m=2 k=0\nleft:\n" + _LEFT_1 + "right:\n" + _RIGHT_1
+        + menu + "S move number> illegal move, try again\n"
+        + menu + "S move number> position: m=1 k=0\n"
+        "left:\n"
+        "  #0: point='{{}}' worlds=['_root', '{{}}', '{}'] edges=[('_root', '{{}}'), ('{{}}', '{}')]\n"
+        "  #1: point='{}' worlds=['_root', '{}'] edges=[('_root', '{}')]\n"
+        "right:\n"
+        "  #0: point='{{}}' worlds=['_root', '{{}}', '{}']"
+        " edges=[('_root', '{{}}'), ('_root', '{}'), ('{{}}', '{}')]\n"
+        "  [0] right-succ [#0->'{}']\n"
+        "S move number> quit\n"
+    )
+
+
+def test_play_as_duplicator_transcript(capsys, tmp_path, vv1, ee1, monkeypatch):
+    path = tmp_path / "pos.json"
+    path.write_text(json.dumps(position_to_dict(GamePosition(4, 1, vv1, ee1))))
+    _script(monkeypatch, "x", "q")
+    code, out, err = run(capsys, "play", str(path), "--as", "D")
+    assert (code, err) == (0, "")
+    assert out == (
+        "position: m=4 k=1\nleft:\n" + _LEFT_1 + "right:\n" + _RIGHT_1
+        + "S plays left-split (m1=2,k1=0) {#0} / (m2=2,k2=0) {#1}\n"
+        "D branch (l/r)> illegal choice, try again\n"
+        "D branch (l/r)> quit\n"
+    )
