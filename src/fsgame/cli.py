@@ -32,11 +32,8 @@ def _err(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _node_limit(args: argparse.Namespace) -> int | None:
-    limit = args.node_limit
-    if limit is not None and limit < 0:
-        raise ValueError(f"--node-limit must be non-negative, got {limit}")
-    return limit
+def _node_limit(args: argparse.Namespace) -> int:
+    return game._node_limit(args.node_limit, "--node-limit")
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -129,10 +126,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         n = args.level
         if n < 0:
             raise ValueError("--level must be non-negative")
-        if n > hierarchy.LEVEL_MAX or (n > hierarchy.LEVEL_CAP and not args.allow_large):
-            flag = f"; pass --allow-large to enumerate level {n}" if n == hierarchy.LEVEL_MAX else ""
-            raise _Refusal(f"refusing to enumerate level {n}{flag}")
-        level = [s.encoding for s in sorted(hierarchy.v_level(n, allow_large=args.allow_large))]
+        level = hierarchy.v_level(n, allow_large=args.allow_large, flag="--allow-large")
+        level = [s.encoding for s in sorted(level)]
         return _emit(args, [(f"level{n}.json", level)], level)
     for name, n, family, build in (
         ("vv", args.vv, "singleton", hierarchy.vv_set),
@@ -457,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
     except game.SearchBudgetExceeded as exc:
         _out({"error": "budget-exceeded", "nodes": exc.nodes})
         return 1
-    except _Refusal as exc:
+    except (_Refusal, hierarchy.LevelTooLarge) as exc:
         _err(f"refused: {exc}")
         return 1
     except RecursionError:

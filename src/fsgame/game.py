@@ -34,7 +34,9 @@ class SearchBudgetExceeded(RuntimeError):
     checks the limit after each operand row of a layer, so ``nodes`` can pass
     the limit by up to one row: at most twice the largest layer combined.  An
     n=21 chain against a loop in ``minimal_separating`` with
-    ``node_limit=10_000`` stops at 16,637."""
+    ``node_limit=10_000`` stops at 16,637.  The ceiling layer is decided
+    without being kept or charged, by at most the product work of building
+    it, over layers already charged (``_Solver._ceiling_holds``)."""
 
     def __init__(self, nodes: int) -> None:
         super().__init__(
@@ -422,20 +424,26 @@ class _Solver:
     entry per byte of it (``_byte_tables``), and a pair of sides never scans
     a layer twice without a separator.  Each vector the table keeps is
     charged as one node, so ``node_limit`` bounds the table too and
-    ``nodes`` counts search states plus table vectors.  ``table=None``
+    ``nodes`` counts search states plus table vectors, but for the ceiling
+    layer m + k = pos.m + pos.k, which only root queries reach: it is decided
+    without being kept or charged, by at most the product work of building
+    it, over layers already charged (``_ceiling_holds``).  ``table=None``
     builds the table when the root would split more ways than the universe
     has classes: k >= 1 and 2^(a-1) + 2^(b-1) > |universe|, for a and b
     distinct depth-m classes on the root's two sides.  Below that a small
     solve pays more for the table than it saves.  ``minimal_separating``,
-    which asks one solver a whole budget grid, always builds it.
+    which asks one solver a whole budget grid, always builds it.  ``root``
+    passes the root's depth-pos.m classes where the caller typed them.
     """
 
     def __init__(
-        self, pos: GamePosition, node_limit: int | None, *, table: bool | None = None
+        self, pos: GamePosition, node_limit: int | None, *, table: bool | None = None,
+        root: tuple[Iterable[int], Iterable[int]] | None = None,
     ) -> None:
         self.node_limit = _node_limit(node_limit)
         self.pos = pos
         self.memo: dict[tuple[int, int, int, int], MLFormula | None] = {}
+        self._roots: dict[int, tuple[int, int]] = {}  # m -> the masks ``root(m)`` gives
         self.nodes = 0
         literals = _position_literals(pos)
         m = pos.m
@@ -447,6 +455,8 @@ class _Solver:
         # the type table's lists are read directly: this runs once per solve
         self.types = sorted(ids, key=TYPES._keys.__getitem__)
         self.bit = {t: 1 << i for i, t in enumerate(self.types)}
+        if root is not None:
+            self._roots[m] = (self.encode(root[0]), self.encode(root[1]))
         size = len(self.types)
         full = (1 << size) - 1
         class_props, class_children = TYPES._props, TYPES._children
@@ -492,14 +502,20 @@ class _Solver:
         self._table: dict[tuple[int, int], list[int]] | None = None
         if table:
             self._table = {}
+            self._ceiling = pos.m + pos.k  # the largest m + k a query asks
             self._reached: dict[int, list[tuple[int, int]]] = {}
             self._scanned: dict[tuple[int, int], list[int]] = {}
             self._parent_bytes = self._byte_tables()
 
     def root(self, m: int) -> tuple[int, int]:
-        """The masks of the depth-m classes of the position's two sides."""
-        left = self.encode(bounded_type(p, m) for p in self.pos.left)
-        return left, self.encode(bounded_type(q, m) for q in self.pos.right)
+        """The masks of the depth-m classes of the position's two sides, typed
+        once for each m."""
+        masks = self._roots.get(m)
+        if masks is None:
+            masks = self._roots[m] = tuple(
+                self.encode(bounded_type(p, m) for p in side) for side in (self.pos.left, self.pos.right)
+            )
+        return masks
 
     def encode(self, types: Iterable[int]) -> int:
         """The mask of a set of classes; a class repeated sets one bit."""
@@ -681,34 +697,88 @@ class _Solver:
         a separator for these sides is not scanned again: each connective
         budget resumes at the first modal budget not yet scanned.  Layers
         below that point are built already, so the layers built, and when,
-        are those of a full scan.  ``_first_winning_part`` builds its layers
-        through the same ``_layer``, in the same order.
+        are those of a full scan, but for the ceiling.  ``_first_winning_part``
+        builds its layers through the same ``_layer``, in the same order.  A
+        query at the ceiling, m + k = pos.m + pos.k, decides its own layer,
+        the last it scans, with ``_ceiling_holds``: the layer is not kept or
+        charged, and the test does at most the product work of building it,
+        over layers already charged.
         """
         scanned = self._scanned.get((A, B))
         if scanned is None:
             scanned = self._scanned[A, B] = []
+        at_ceiling = m + k == self._ceiling
         for kk in range(k + 1):
             if kk == len(scanned):
                 scanned.append(0)
             for mm in range(scanned[kk], m + 1):
                 # every budget below (mm, kk) comes earlier in this order
-                for v in self._layer(mm, kk):
-                    if A & v == A and not v & B:
+                if at_ceiling and mm == m and kk == k:
+                    if self._ceiling_holds(m, k, A, B):
                         return True
+                else:
+                    for v in self._layer(mm, kk):
+                        if A & v == A and not v & B:
+                            return True
                 scanned[kk] = mm + 1
         return False
 
+    def _ceiling_holds(self, m: int, k: int, A: int, B: int) -> bool:
+        """Whether layer (m, k) would hold a v with A <= v and v & B == 0,
+        tested on the candidates ``_new_vectors`` would make from the layers
+        below, which must be built.  v1 | v2 separates iff both miss B and
+        their projections on A cover A; v1 & v2 iff both hold A and their
+        projections on B are disjoint.  A candidate a smaller budget reaches
+        separates there too, so after ``_separable`` scanned the layers below
+        the answer is that of a scan of the built layer.  The work is at most
+        the product work of building the layer, over layers already charged;
+        no node is charged."""
+        table = self._table
+        if m == 0 and k == 0:
+            return any(A & truth == A and not truth & B for _, truth, _ in self.literals)
+        if m >= 1:
+            # <>v misses B iff v misses B's children; []v holds on A iff v
+            # holds all of A's children
+            full = (1 << len(self.types)) - 1
+            kids_a, kids_b = self._union_children(A), self._union_children(B)
+            for v in table[m - 1, k]:
+                if not v & kids_b and self._diamond(v) & A == A:
+                    return True
+                if v & kids_a == kids_a and self._diamond(full ^ v) & B == B:
+                    return True
+        for k1 in range(k):
+            k2 = k - 1 - k1
+            for m1 in range(m + 1):
+                m2 = m - m1
+                if (m1, k1) > (m2, k2):
+                    continue  # & and | commute: each unordered pair once
+                layer1, layer2 = table[m1, k1], table[m2, k2]
+                covers = {A & v for v in layer2 if not v & B}
+                for p1 in {A & v for v in layer1 if not v & B}:
+                    if any(p1 | p2 == A for p2 in covers):
+                        return True
+                misses = {B & v for v in layer2 if A & v == A}
+                for q1 in {B & v for v in layer1 if A & v == A}:
+                    if any(not q1 & q2 for q2 in misses):
+                        return True
+        return False
+
     def _layer(self, m: int, k: int) -> list[int]:
-        """Layer (m, k) of the table, built if missing; every layer below it
-        must be built already."""
-        layer = self._table.get((m, k))
+        """Layer (m, k) of the table, built if missing after the layers below
+        it: a query above the ceiling builds a ceiling layer it needs."""
+        table = self._table
+        layer = table.get((m, k))
         if layer is None:
-            layer = self._table[m, k] = self._new_vectors(m, k)
+            if m:
+                self._layer(m - 1, k)
+            if k:
+                self._layer(m, k - 1)
+            layer = table[m, k] = self._new_vectors(m, k)
         return layer
 
     def _new_vectors(self, m: int, k: int) -> list[int]:
         """The truth vectors of the formulas of size exactly (m, k) that no
-        smaller budget reaches.
+        smaller budget reaches; every layer below (m, k) must be built.
 
         Each layer combines only the new vectors of the layers below it, and
         misses none: an operand that a smaller budget already reaches gives a
@@ -717,7 +787,9 @@ class _Solver:
         literals, after the modal step and after each operand row of a
         product.  A stop therefore passes the limit by at most one row, which
         adds at most twice the largest layer combined: the v1 & v2 and
-        v1 | v2 of one v1 with each v2."""
+        v1 | v2 of one v1 with each v2.  The ceiling layer is not built here
+        but decided, without being kept or charged, by ``_ceiling_holds``,
+        whose work is at most this product work over the same operands."""
         table = self._table
         new: list[int] = []
         if m == 0 and k == 0:
@@ -894,10 +966,17 @@ class DuplicatorWins:
 Verdict = SpoilerWins | DuplicatorWins
 
 
-def _node_limit(node_limit: int | None) -> int:
-    if node_limit is not None and (type(node_limit) is not int or node_limit < 0):
-        raise ValueError(f"node_limit must be a non-negative integer, got {node_limit!r}")
-    return DEFAULT_NODE_LIMIT if node_limit is None else node_limit
+def _node_limit(node_limit: int | None, name: str = "node_limit") -> int:
+    """The limit to use, ``DEFAULT_NODE_LIMIT`` for None.  Anything but a
+    non-negative integer is an input error whose message names ``name``, the
+    caller's parameter or flag."""
+    if node_limit is None:
+        return DEFAULT_NODE_LIMIT
+    if type(node_limit) is not int:
+        raise ValueError(f"{name} must be a non-negative integer, got {node_limit!r}")
+    if node_limit < 0:
+        raise ValueError(f"{name} must be non-negative, got {node_limit!r}")
+    return node_limit
 
 
 def solve(pos: GamePosition, *, node_limit: int | None = None) -> Verdict:
@@ -911,6 +990,8 @@ def solve(pos: GamePosition, *, node_limit: int | None = None) -> Verdict:
     table when the root would split more ways than the universe has classes
     (``_Solver``'s rule); the table answers every subtree D wins without a
     search, and the verdict's ``nodes`` then counts the table's vectors too.
+    The root's own layer (m, k) is decided without being kept or charged, by
+    at most the product work of building it, over layers already charged.
 
     Raises ``SearchBudgetExceeded`` (never a verdict) when the node ceiling is
     hit; it bounds search states and table vectors together.  Raises
@@ -933,8 +1014,8 @@ def solve(pos: GamePosition, *, node_limit: int | None = None) -> Verdict:
         if not left.isdisjoint(right):
             # a shared depth-m class defeats every formula within the budget
             return DuplicatorWins(nodes=1)
-        solver = _Solver(pos, node_limit)
-        formula = solver.win(pos.m, pos.k, solver.encode(left), solver.encode(right))
+        solver = _Solver(pos, node_limit, root=(left, right))
+        formula = solver.win(pos.m, pos.k, *solver.root(pos.m))
         if formula is None:
             return DuplicatorWins(nodes=solver.nodes)
         strategy = _strategy_for(formula, pos)
@@ -1185,10 +1266,12 @@ def minimal_separating(
     Minimality is componentwise; the search shares one memo table and one
     truth-vector table across the whole budget grid.  The table answers every
     position where no formula within budget separates without a search, so
-    only positions S wins are expanded.  A budget or ``node_limit`` that is
-    not a non-negative integer raises ``ValueError``; the errors of ``solve``
-    stop it too, and ``SearchTooDeep`` names the modal budget of the query
-    that nested too deep.
+    only positions S wins are expanded.  The layers m + k = max_total are
+    decided without being kept or charged, each by at most the product work
+    of building it, over layers already charged.  A budget or ``node_limit``
+    that is not a non-negative integer raises ``ValueError``; the errors of
+    ``solve`` stop it too, and ``SearchTooDeep`` names the modal budget of the
+    query that nested too deep.
     """
     if type(max_total) is not int or max_total < 0:
         raise ValueError(f"budget must be a non-negative integer, got {max_total!r}")

@@ -101,15 +101,21 @@ LEVEL_MAX = 5
 FAMILY_CAP = 3
 
 
-def v_level(n: int, *, allow_large: bool = False) -> frozenset[HFSet]:
-    """The n-th iterated powerset of the empty set."""
+class LevelTooLarge(ValueError):
+    """A level past the enumeration ceiling: above ``LEVEL_MAX``, or above
+    ``LEVEL_CAP`` without ``allow_large``."""
+
+
+def v_level(n: int, *, allow_large: bool = False, flag: str = "allow_large=True") -> frozenset[HFSet]:
+    """The n-th iterated powerset of the empty set.
+
+    A level past the ceiling raises ``LevelTooLarge``; at ``LEVEL_MAX`` its
+    message names ``flag``, the caller's way to pass ``allow_large``."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if n > LEVEL_MAX or (n > LEVEL_CAP and not allow_large):
-        raise ValueError(
-            f"level {n} is too large to enumerate"
-            + (f"; pass allow_large=True for level {LEVEL_MAX}" if n == LEVEL_MAX else "")
-        )
+        hint = f"; pass {flag} to enumerate level {n}" if n == LEVEL_MAX else ""
+        raise LevelTooLarge(f"refusing to enumerate level {n}{hint}")
     level: list[HFSet] = []
     for _ in range(n):
         below = sorted(level)

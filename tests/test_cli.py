@@ -194,7 +194,7 @@ def test_negative_node_limit_is_an_input_error(capsys, files, command):
         "--node-limit", "-3",
     )
     assert code == 2 and out == ""
-    assert "--node-limit" in err
+    assert err == "error: --node-limit must be non-negative, got -3\n"
 
 
 def test_solve_is_deterministic(capsys, files):
@@ -224,7 +224,7 @@ def test_gen_level(capsys):
 def test_gen_level_guard(capsys):
     code, _, err = run(capsys, "gen", "--level", "5")
     assert code == 1
-    assert "refus" in err
+    assert err == "refused: refusing to enumerate level 5; pass --allow-large to enumerate level 5\n"
 
     code, out, _ = run(capsys, "gen", "--level", "5", "--allow-large")
     assert code == 0
@@ -232,6 +232,7 @@ def test_gen_level_guard(capsys):
 
     code, _, err = run(capsys, "gen", "--level", "6", "--allow-large")
     assert code == 1
+    assert err == "refused: refusing to enumerate level 6\n"
 
 
 def test_gen_vv_files(capsys, tmp_path):
@@ -298,9 +299,10 @@ def test_experiment_n2(capsys):
     assert report["chromatic"] == {"chi": 4, "duplicator_wins_k_up_to": 1}
     assert report["separation"]["vv_all_true"] and report["separation"]["ee_all_false"]
     # the (3,1) root splits 2^3 + 2^5 ways over 11 classes, so its solver
-    # builds the table and answers D at once: the root plus 20 table vectors
-    # (98 nodes by the search without the table)
-    nodes = {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1, (2, 0): 1, (2, 1): 1, (3, 0): 6, (3, 1): 21}
+    # builds the table and answers D at once: the root plus the 16 table
+    # vectors below (3,1), whose own 4 vectors are decided without being
+    # built (21 nodes when they were; 98 by the search without the table)
+    nodes = {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1, (2, 0): 1, (2, 1): 1, (3, 0): 6, (3, 1): 17}
     assert _grid_cells(report) == [(m, k, "D", None, n) for (m, k), n in nodes.items()]
     assert report["frontier"] is None
 

@@ -593,13 +593,15 @@ def test_negative_node_limit_is_an_input_error(vv1, ee1):
         minimal_separating(vv1, ee1, 5, node_limit=0)
 
 
-@pytest.mark.parametrize(("m", "k", "nodes"), [(6, 3, 145), (8, 2, 307), (3, 1, 21)])
+@pytest.mark.parametrize(("m", "k", "nodes"), [(6, 3, 145), (8, 2, 217), (3, 1, 17)])
 def test_solve_node_counts_are_pinned(vv2, ee2, m, k, nodes):
     # a node count that moves without a reason is a regression of the search.
     # The n=2 roots split 2^3 + 2^5 ways over 11 classes, so the solver
     # builds its table, finds no separating vector and answers D at the root:
-    # each count is the root plus the table vectors built up to (m, k).  The
-    # search without the table took 3477, 2922 and 98 nodes.
+    # each count is the root plus the table vectors built below (m, k).  The
+    # root's own layer (m, k) is the ceiling, decided without being built:
+    # it held 0, 90 and 4 vectors (145, 307 and 21 nodes when it was built).
+    # The search without the table took 3477, 2922 and 98 nodes.
     verdict = verdict_to_dict(solve(GamePosition(m, k, vv2, ee2)))
     assert verdict == {"winner": "D", "formula": None, "ms": None, "cs": None, "nodes": nodes}
 
@@ -688,8 +690,8 @@ def test_root_decision_matches_the_search(monkeypatch, m_empty, m_single):
     built = []
 
     class CountingSolver(game._Solver):
-        def __init__(self, pos, node_limit, *, table=None):
-            super().__init__(pos, node_limit, table=table)
+        def __init__(self, pos, node_limit, **options):
+            super().__init__(pos, node_limit, **options)
             built.append(pos)
 
     rng = random.Random(20240521)
@@ -828,8 +830,8 @@ def test_solve_table_rule_keeps_formulas_and_verdicts(monkeypatch, vv1, ee1, vv2
     gated = []
 
     class RecordingSolver(game._Solver):
-        def __init__(self, pos, node_limit, *, table=None):
-            super().__init__(pos, node_limit, table=table)
+        def __init__(self, pos, node_limit, **options):
+            super().__init__(pos, node_limit, **options)
             gated.append(self._table is not None)
 
     tableless_solver = game._Solver
@@ -937,7 +939,8 @@ def test_diamond_reads_the_class_by_class_definition(vv2, ee2, vv3, ee3):
 
 def _scan_from_scratch(solver, m: int, k: int, A: int, B: int) -> bool:
     """``_separable`` without its record of scanned layers: every layer within
-    (m, k), kk-outer and mm-inner, building the missing ones."""
+    (m, k), kk-outer and mm-inner, building the missing ones, the ceiling
+    layer too."""
     table = solver._table
     for kk in range(k + 1):
         for mm in range(m + 1):
@@ -949,11 +952,37 @@ def _scan_from_scratch(solver, m: int, k: int, A: int, B: int) -> bool:
     return False
 
 
-def test_scan_record_answers_like_a_full_scan(monkeypatch, vv2, ee2):
-    # every query of the n=2 frontier and of table-forced corpus solves: the
-    # answer of the resumed scan is that of a full scan on a second table.
-    # The second table also builds the layers a table-chosen split builds, so
-    # both tables build the same layers in the same order.
+def _built_layer(solver, m: int, k: int) -> list[int]:
+    """Layer (m, k), built as a full scan builds it: each missing layer
+    within (m, k), kk-outer and mm-inner, the ceiling layer too."""
+    table = solver._table
+    for kk in range(k + 1):
+        for mm in range(m + 1):
+            if (mm, kk) not in table:
+                table[mm, kk] = solver._new_vectors(mm, kk)
+    return table[m, k]
+
+
+def _tables_agree(solver, reference) -> int:
+    """Assert that the solver built the reference's layers, in the same
+    order, but for the ceiling layers m + k = pos.m + pos.k that it decided
+    without building them; return how many vectors those hold."""
+    ceiling = solver.pos.m + solver.pos.k
+    off_ceiling = lambda table: [key for key in table if sum(key) != ceiling]
+    assert off_ceiling(solver._table) == off_ceiling(reference._table)
+    assert all(reference._table[key] == layer for key, layer in solver._table.items())
+    skipped = reference._table.keys() - solver._table.keys()
+    assert all(sum(key) == ceiling for key in skipped), skipped
+    return sum(len(reference._table[key]) for key in skipped)
+
+
+def test_scan_record_answers_like_a_full_scan(monkeypatch, vv1, ee1, vv2, ee2):
+    # every query of the n=2 frontier, of the n=1 and n=2 family cells and of
+    # table-forced corpus solves: the answer of the resumed scan is that of a
+    # full scan on a second table, and each ceiling layer decided without
+    # being built answers as a scan of that layer built in full.  The second
+    # table also builds the layers a table-chosen split builds, so both
+    # tables build the same layers in the same order, but for the ceiling.
     solvers = []
     plain = game._Solver
 
@@ -962,13 +991,21 @@ def test_scan_record_answers_like_a_full_scan(monkeypatch, vv2, ee2):
             super().__init__(pos, node_limit, table=table)
             self.reference = plain(pos, node_limit, table=table)
             self.queries = []
+            self.decided = []  # the answers of the ceiling queries
             solvers.append(self)
 
         def _separable(self, m, k, A, B):
             answer = super()._separable(m, k, A, B)
             assert answer == _scan_from_scratch(self.reference, m, k, A, B), (m, k, A, B)
-            assert list(self._table) == list(self.reference._table)
+            _tables_agree(self, self.reference)
             self.queries.append((A, B))
+            return answer
+
+        def _ceiling_holds(self, m, k, A, B):
+            answer = super()._ceiling_holds(m, k, A, B)
+            layer = _built_layer(self.reference, m, k)
+            assert answer == any(A & v == A and not v & B for v in layer), (m, k, A, B)
+            self.decided.append(answer)
             return answer
 
         def _first_winning_part(self, m, k, side, other, split_left):
@@ -984,24 +1021,35 @@ def test_scan_record_answers_like_a_full_scan(monkeypatch, vv2, ee2):
     # the table picks every split, so the frontier asks about only 13 pairs
     # of sides; the walk over every partition asked 1,526 queries about 118
     assert (len(solver.queries), len(set(solver.queries))) == (116, 13)
-    assert solver._table == solver.reference._table
-    assert solver.nodes == 1_324  # 194 search states plus 1,130 vectors
-    # table-forced solves of the criterion-1 corpus ask about many more pairs
+    # the root queries m + k = 15 whose sides share no class (m >= 3) are
+    # decided without building their layers: only the frontier's (12, 3) holds
+    assert solver.decided.count(True) == 1 and len(solver.decided) == 13
+    assert _tables_agree(solver, solver.reference) == 194
+    assert solver.nodes == 1_130  # 194 search states plus 936 vectors
+    # the family cells and table-forced solves of the criterion-1 corpus ask
+    # about many more pairs; each root query is at the ceiling
+    cells = [(vv1, ee1, m, k) for m in range(6) for k in range(4)]
+    cells += [(vv2, ee2, m, k) for m in range(6) for k in range(4)]
     rng = random.Random(5)
     for _ in range(60):
         pos = random_position(rng, max_worlds=4, max_side=3, max_props=2)
-        for m in range(4):
-            for k in range(3):
-                checked = CheckedSolver(GamePosition(m, k, pos.left, pos.right), None, table=True)
-                checked.win(m, k, *checked.root(m))
-                assert checked._table == checked.reference._table
+        cells += [(pos.left, pos.right, m, k) for m in range(4) for k in range(3)]
+    for left, right, m, k in cells:
+        checked = CheckedSolver(GamePosition(m, k, left, right), None, table=True)
+        checked.win(m, k, *checked.root(m))
+        _tables_agree(checked, checked.reference)
     assert sum(len(set(checked.queries)) for checked in solvers[1:]) >= 100
+    # 93 of their root queries are decided at the ceiling: 35 hold, 58 do not
+    decided = [answer for checked in solvers[1:] for answer in checked.decided]
+    assert (decided.count(True), decided.count(False)) == (35, 58)
 
 
 def test_scan_record_builds_the_layers_of_a_full_scan():
     # queries in no particular order on a few pairs of sides: a pair that met
     # a separator at a small budget is scanned again at a larger one, and the
-    # layers a full scan would build below that separator are built too
+    # layers a full scan would build below that separator are built too.  A
+    # ceiling layer is built only once a query above the ceiling needs it,
+    # and the solver charges only the vectors it built
     rng = random.Random(11)
     for _ in range(30):
         pos = random_position(rng, max_worlds=4, max_side=3, max_props=2, m=4)
@@ -1015,7 +1063,25 @@ def test_scan_record_builds_the_layers_of_a_full_scan():
             A, B = rng.choice(pairs)
             answer = solver._separable(m, k, A, B)
             assert answer == _scan_from_scratch(reference, m, k, A, B), (pos, m, k, A, B)
-            assert list(solver._table) == list(reference._table) and solver.nodes == reference.nodes
+            assert solver.nodes == reference.nodes - _tables_agree(solver, reference)
+
+
+def test_the_literal_layer_is_decided_at_a_zero_ceiling():
+    # a solver typed at (0, 0) has the literals' layer as its ceiling: it is
+    # decided from the literals' truths, and nothing is built or charged
+    rng = random.Random(13)
+    answers = []
+    for _ in range(30):
+        pos = random_position(rng, max_worlds=4, max_side=3, max_props=2, m=0, k=0)
+        solver = game._Solver(pos, None, table=True)
+        reference = game._Solver(pos, None, table=True)
+        size = len(solver.types)
+        pairs = [solver.root(0)] + [(rng.getrandbits(size), rng.getrandbits(size)) for _ in range(5)]
+        for A, B in pairs:
+            answers.append(solver._separable(0, 0, A & ~B, B))
+            assert answers[-1] == _scan_from_scratch(reference, 0, 0, A & ~B, B), (pos, A, B)
+        assert solver._table == {} and solver.nodes == 0
+    assert True in answers and False in answers
 
 
 def test_n3_table_counts_and_stops_are_pinned(monkeypatch, vv2, ee2, vv3, ee3):
@@ -1031,7 +1097,10 @@ def test_n3_table_counts_and_stops_are_pinned(monkeypatch, vv2, ee2, vv3, ee3):
     with monkeypatch.context() as patch:
         patch.setattr(game, "_Solver", RecordingSolver)
         assert minimal_separating(vv3, ee3, 16) == []
-    assert solvers.pop().nodes == 113_961
+    # 153 search states plus 58,996 vectors; the 54,812 vectors of the
+    # ceiling layers m + k = 16 are decided without being built (113,961
+    # nodes when they were)
+    assert solvers.pop().nodes == 59_149
     stops = {
         231: lambda: minimal_separating(vv3, ee3, 16, node_limit=200),
         3_032: lambda: minimal_separating(vv3, ee3, 16, node_limit=3_000),
@@ -1149,8 +1218,11 @@ def test_wide_split_is_read_off_the_table(tmp_path):
     # over 2^n classes and solve keeps the table; the walk over every
     # partition of the left side took 35,775 nodes at n=5 and ran out of
     # memory at n=6, where the left side has 2^27 partitions
+    # 8 search states plus 732 vectors: the 4,420 vectors of the root's own
+    # layer (0, 3), the ceiling, are decided without being built (5,160
+    # nodes when they were)
     verdict = solve(_wide_split(5))
-    assert isinstance(verdict, SpoilerWins) and verdict.nodes == 5_160
+    assert isinstance(verdict, SpoilerWins) and verdict.nodes == 740
     assert verdict.formula == parse_ml("p1 & p0 | p3 & p2")
     # n=6 runs in a capped child
     verdict = _solve_capped(tmp_path, _wide_split(6))

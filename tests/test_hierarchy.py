@@ -71,6 +71,13 @@ def test_level_guards():
         v_level(5)
     with pytest.raises(ValueError):
         v_level(6, allow_large=True)
+    # the refusal names the caller's flag where one would lift it
+    with pytest.raises(hierarchy.LevelTooLarge, match=r"^refusing to enumerate level 5; pass allow_large=True to"):
+        v_level(5)
+    with pytest.raises(hierarchy.LevelTooLarge, match=r"^refusing to enumerate level 5; pass --big to enumerate level 5$"):
+        v_level(5, flag="--big")
+    with pytest.raises(hierarchy.LevelTooLarge, match=r"^refusing to enumerate level 6$"):
+        v_level(6, allow_large=True, flag="--big")
     with pytest.raises(ValueError):
         v_level(-1)
 
