@@ -733,7 +733,6 @@ class _Solver:
         the answer is that of a scan of the built layer.  The work is at most
         the product work of building the layer, over layers already charged;
         no node is charged."""
-        table = self._table
         if m == 0 and k == 0:
             return any(A & truth == A and not truth & B for _, truth, _ in self.literals)
         if m >= 1:
@@ -741,27 +740,32 @@ class _Solver:
             # holds all of A's children
             full = (1 << len(self.types)) - 1
             kids_a, kids_b = self._union_children(A), self._union_children(B)
-            for v in table[m - 1, k]:
+            for v in self._table[m - 1, k]:
                 if not v & kids_b and self._diamond(v) & A == A:
                     return True
                 if v & kids_a == kids_a and self._diamond(full ^ v) & B == B:
                     return True
-        for k1 in range(k):
-            k2 = k - 1 - k1
-            for m1 in range(m + 1):
-                m2 = m - m1
-                if (m1, k1) > (m2, k2):
-                    continue  # & and | commute: each unordered pair once
-                layer1, layer2 = table[m1, k1], table[m2, k2]
-                covers = {A & v for v in layer2 if not v & B}
-                for p1 in {A & v for v in layer1 if not v & B}:
-                    if any(p1 | p2 == A for p2 in covers):
-                        return True
-                misses = {B & v for v in layer2 if A & v == A}
-                for q1 in {B & v for v in layer1 if A & v == A}:
-                    if any(not q1 & q2 for q2 in misses):
-                        return True
+        for layer1, layer2 in self._operand_pairs(m, k):
+            covers = {A & v for v in layer2 if not v & B}
+            for p1 in {A & v for v in layer1 if not v & B}:
+                if any(p1 | p2 == A for p2 in covers):
+                    return True
+            misses = {B & v for v in layer2 if A & v == A}
+            for q1 in {B & v for v in layer1 if A & v == A}:
+                if any(not q1 & q2 for q2 in misses):
+                    return True
         return False
+
+    def _operand_pairs(self, m: int, k: int) -> Iterator[tuple[list[int], list[int]]]:
+        """The pairs of layers whose & and | make layer (m, k): budgets
+        (m1, k1) + (m2, k2) = (m, k - 1), each unordered pair once, as & and
+        | commute."""
+        table = self._table
+        for k1 in range(k):
+            for m1 in range(m + 1):
+                m2, k2 = m - m1, k - 1 - k1
+                if (m1, k1) <= (m2, k2):
+                    yield table[m1, k1], table[m2, k2]
 
     def _layer(self, m: int, k: int) -> list[int]:
         """Layer (m, k) of the table, built if missing after the layers below
@@ -800,17 +804,11 @@ class _Solver:
             found = set(map(self._diamond, layer))
             found.update(full ^ self._diamond(full ^ v) for v in layer)
             self._keep(m, k, found, new)
-        for k1 in range(k):
-            k2 = k - 1 - k1
-            for m1 in range(m + 1):
-                m2 = m - m1
-                if (m1, k1) > (m2, k2):
-                    continue  # & and | commute: each unordered pair once
-                layer2 = table[m2, k2]
-                for v1 in table[m1, k1]:
-                    row = {v1 & v2 for v2 in layer2}
-                    row.update([v1 | v2 for v2 in layer2])
-                    self._keep(m, k, row, new)
+        for layer1, layer2 in self._operand_pairs(m, k):
+            for v1 in layer1:
+                row = {v1 & v2 for v2 in layer2}
+                row.update([v1 | v2 for v2 in layer2])
+                self._keep(m, k, row, new)
         return new
 
     def _keep(self, m: int, k: int, found: set[int], new: list[int]) -> None:
