@@ -20,9 +20,6 @@ from . import game, graphs, hierarchy, kripke
 from . import bisim as bisim_mod
 from .logic import fo, ml
 
-class _Refusal(Exception):
-    pass
-
 
 def _out(data: object) -> None:
     print(json.dumps(data, indent=2, sort_keys=True))
@@ -124,22 +121,16 @@ def _fo_sizes(f: fo.FOFormula) -> dict:
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.level is not None:
         n = args.level
-        if n < 0:
-            raise ValueError("--level must be non-negative")
-        level = hierarchy.v_level(n, allow_large=args.allow_large, flag="--allow-large")
+        level = hierarchy.v_level(
+            n, allow_large=args.allow_large, flag="--allow-large", name="--level"
+        )
         level = [s.encoding for s in sorted(level)]
         return _emit(args, [(f"level{n}.json", level)], level)
-    for name, n, family, build in (
-        ("vv", args.vv, "singleton", hierarchy.vv_set),
-        ("ee", args.ee, "pair", hierarchy.ee_set),
-    ):
+    for name, n, build in (("vv", args.vv, hierarchy.vv_set), ("ee", args.ee, hierarchy.ee_set)):
         if n is None:
             continue
-        if n < 0:
-            raise ValueError(f"--{name} must be non-negative")
-        if n > hierarchy.FAMILY_CAP:
-            raise _Refusal(f"refusing to build the {family} family at n={n}")
-        models = [kripke.pointed_to_dict(p) for p in sorted(build(n), key=kripke.canonical_key)]
+        members = sorted(build(n, name=f"--{name}"), key=kripke.canonical_key)
+        models = [kripke.pointed_to_dict(p) for p in members]
         return _emit(args, [(f"{name}{n}_{i:03d}.json", d) for i, d in enumerate(models)], models)
     n = args.phi
     phi = fo.make_phi(n)
@@ -216,13 +207,14 @@ def build_experiment_report(n: int, *, node_limit: int | None = None) -> Experim
     if n < 1:
         raise ValueError("n must be at least 1")
     game._node_limit(node_limit)
-    if n > hierarchy.FAMILY_CAP:
-        raise _Refusal(f"the pair family at n={n} is not enumerable")
     started = time.perf_counter()
+    try:
+        vv, ee = hierarchy.vv_set(n), hierarchy.ee_set(n)
+    except hierarchy.FamilyTooLarge:
+        # one refusal for both families, in the report's words
+        raise hierarchy.FamilyTooLarge(f"the pair family at n={n} is not enumerable") from None
     psi, phi = fo.make_psi(n), fo.make_phi(n)
     sizes = {"psi": _fo_sizes(psi), "phi": _fo_sizes(phi)}
-    vv = hierarchy.vv_set(n)
-    ee = hierarchy.ee_set(n)
 
     chi = graphs.chromatic_number(graphs.graph_of(vv, ee))
     chromatic = {
@@ -452,7 +444,7 @@ def main(argv: list[str] | None = None) -> int:
     except game.SearchBudgetExceeded as exc:
         _out({"error": "budget-exceeded", "nodes": exc.nodes})
         return 1
-    except (_Refusal, hierarchy.LevelTooLarge) as exc:
+    except (hierarchy.LevelTooLarge, hierarchy.FamilyTooLarge) as exc:
         _err(f"refused: {exc}")
         return 1
     except RecursionError:

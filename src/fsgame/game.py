@@ -24,6 +24,9 @@ from .logic.ml import BOT, TOP, Bot, MLFormula, NegProp, Prop, Top, extent, ml_s
 from .logic.ml import eval_ml  # noqa: F401  (kept importable here: a benchmark probe site)
 
 DEFAULT_NODE_LIMIT = 10_000_000
+"""A node is a search state or a kept table vector, which costs 120-150 bytes
+(RSS, Python 3.11: 126 on the 20-chain against a loop, 148 on the n=3 frontier
+to size 22), so this default bounds a table at about 1.5 GB."""
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -36,7 +39,8 @@ class SearchBudgetExceeded(RuntimeError):
     n=21 chain against a loop in ``minimal_separating`` with
     ``node_limit=10_000`` stops at 16,637.  The ceiling layer is decided
     without being kept or charged, by at most the product work of building
-    it, over layers already charged (``_Solver._ceiling_holds``)."""
+    it, over layers already charged (``_Solver._ceiling_holds``).  The default
+    limit bounds a table at about 1.5 GB (``DEFAULT_NODE_LIMIT``)."""
 
     def __init__(self, nodes: int) -> None:
         super().__init__(
@@ -496,14 +500,17 @@ class _Solver:
                 and _splits(*(side.bit_count() for side in self.root(pos.m))) > size
             )
         # the truth-vector table: budget -> the vectors first reached there,
-        # vector -> the minimal budgets that reach it, a pair of sides -> how
-        # many layers of each connective budget were scanned without a
-        # separator, and the byte tables of ``_diamond``
+        # vector -> its minimal budgets as one flat tuple (m1, k1, m2, k2, ..),
+        # a pair of sides -> how many layers of each connective budget were
+        # scanned without a separator, and the byte tables of ``_diamond``.
+        # A vector's first budget is the (m, k) tuple its layer shares, and a
+        # second is rare (16 of 920 on the n=2 frontier): a kept vector costs
+        # 120-150 bytes, its key, dict slot and place in its layer
         self._table: dict[tuple[int, int], list[int]] | None = None
         if table:
             self._table = {}
             self._ceiling = pos.m + pos.k  # the largest m + k a query asks
-            self._reached: dict[int, list[tuple[int, int]]] = {}
+            self._reached: dict[int, tuple[int, ...]] = {}
             self._scanned: dict[tuple[int, int], list[int]] = {}
             self._parent_bytes = self._byte_tables()
 
@@ -759,13 +766,16 @@ class _Solver:
     def _operand_pairs(self, m: int, k: int) -> Iterator[tuple[list[int], list[int]]]:
         """The pairs of layers whose & and | make layer (m, k): budgets
         (m1, k1) + (m2, k2) = (m, k - 1), each unordered pair once, as & and
-        | commute."""
+        | commute.  A pair with an empty layer makes no vector, so it is left
+        out."""
         table = self._table
         for k1 in range(k):
             for m1 in range(m + 1):
                 m2, k2 = m - m1, k - 1 - k1
                 if (m1, k1) <= (m2, k2):
-                    yield table[m1, k1], table[m2, k2]
+                    layer1, layer2 = table[m1, k1], table[m2, k2]
+                    if layer1 and layer2:
+                        yield layer1, layer2
 
     def _layer(self, m: int, k: int) -> list[int]:
         """Layer (m, k) of the table, built if missing after the layers below
@@ -795,39 +805,44 @@ class _Solver:
         but decided, without being kept or charged, by ``_ceiling_holds``,
         whose work is at most this product work over the same operands."""
         table = self._table
+        budget = (m, k)  # one tuple, shared by every vector this layer keeps
         new: list[int] = []
         if m == 0 and k == 0:
-            self._keep(m, k, {truth for _, truth, _ in self.literals}, new)
+            self._keep(budget, {truth for _, truth, _ in self.literals}, new)
         if m >= 1:
             full = (1 << len(self.types)) - 1
             layer = table[m - 1, k]
             found = set(map(self._diamond, layer))
             found.update(full ^ self._diamond(full ^ v) for v in layer)
-            self._keep(m, k, found, new)
+            self._keep(budget, found, new)
         for layer1, layer2 in self._operand_pairs(m, k):
             for v1 in layer1:
                 row = {v1 & v2 for v2 in layer2}
                 row.update([v1 | v2 for v2 in layer2])
-                self._keep(m, k, row, new)
+                self._keep(budget, row, new)
         return new
 
-    def _keep(self, m: int, k: int, found: set[int], new: list[int]) -> None:
-        """Append to ``new`` the candidates of layer (m, k) that no budget up
-        to (m, k) reaches yet, charging one node for each.  A candidate met
-        earlier in this layer is refused here too: it was kept, and (m, k) now
-        reaches it, or a smaller budget reached it then."""
+    def _keep(self, budget: tuple[int, int], found: set[int], new: list[int]) -> None:
+        """Append to ``new`` the candidates of layer ``budget`` = (m, k) that
+        no budget up to (m, k) reaches yet, charging one node for each.  A
+        candidate met earlier in this layer is refused here too: it was kept,
+        and (m, k) now reaches it, or a smaller budget reached it then."""
         reached = self._reached
+        m, k = budget
         kept = len(new)
         for v in found:
             budgets = reached.get(v)
             if budgets is None:
-                budgets = reached[v] = []
-            for mm, kk in budgets:
-                if mm <= m and kk <= k:
-                    break  # a smaller budget reaches v
-            else:
-                budgets.append((m, k))
+                reached[v] = budget
                 new.append(v)
+            elif budgets[0] > m or budgets[1] > k:
+                # the rare vector whose first budget is not within (m, k)
+                for i in range(2, len(budgets), 2):
+                    if budgets[i] <= m and budgets[i + 1] <= k:
+                        break
+                else:
+                    reached[v] = budgets + budget
+                    new.append(v)
         self.nodes += len(new) - kept
         if self.nodes > self.node_limit:
             raise SearchBudgetExceeded(self.nodes)

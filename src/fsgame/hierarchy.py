@@ -106,13 +106,21 @@ class LevelTooLarge(ValueError):
     ``LEVEL_CAP`` without ``allow_large``."""
 
 
-def v_level(n: int, *, allow_large: bool = False, flag: str = "allow_large=True") -> frozenset[HFSet]:
+class FamilyTooLarge(ValueError):
+    """A join family past ``FAMILY_CAP``."""
+
+
+def v_level(
+    n: int, *, allow_large: bool = False, flag: str = "allow_large=True", name: str = "n"
+) -> frozenset[HFSet]:
     """The n-th iterated powerset of the empty set.
 
-    A level past the ceiling raises ``LevelTooLarge``; at ``LEVEL_MAX`` its
-    message names ``flag``, the caller's way to pass ``allow_large``."""
+    A negative n raises ``ValueError`` worded after ``name``, the caller's
+    name for n.  A level past the ceiling raises ``LevelTooLarge``; at
+    ``LEVEL_MAX`` its message names ``flag``, the caller's way to pass
+    ``allow_large``."""
     if n < 0:
-        raise ValueError("n must be non-negative")
+        raise ValueError(f"{name} must be non-negative")
     if n > LEVEL_MAX or (n > LEVEL_CAP and not allow_large):
         hint = f"; pass {flag} to enumerate level {n}" if n == LEVEL_MAX else ""
         raise LevelTooLarge(f"refusing to enumerate level {n}{hint}")
@@ -152,21 +160,25 @@ def frame(n: int) -> KripkeModel:
     return KripkeModel((x.encoding for x in level), edges, {})
 
 
-def _check_family(n: int) -> None:
+def _check_family(n: int, family: str, name: str) -> None:
+    """Refuse a negative n with a ``ValueError`` worded after ``name``, the
+    caller's name for n, and an n past ``FAMILY_CAP`` with ``FamilyTooLarge``."""
     if n < 0:
-        raise ValueError("n must be non-negative")
+        raise ValueError(f"{name} must be non-negative")
     if n > FAMILY_CAP:
-        raise ValueError(f"n={n} is too large (the families stop at n={FAMILY_CAP})")
+        raise FamilyTooLarge(f"refusing to build the {family} family at n={n}")
 
 
-def vv_set(n: int) -> frozenset[PointedModel]:
-    """Fresh-root joins of the singleton families from level n+1."""
-    _check_family(n)
+def vv_set(n: int, *, name: str = "n") -> frozenset[PointedModel]:
+    """Fresh-root joins of the singleton families from level n+1; refused as
+    ``_check_family`` says."""
+    _check_family(n, "singleton", name)
     return frozenset(join([model_of(a)]) for a in v_level(n + 1))
 
 
-def ee_set(n: int) -> frozenset[PointedModel]:
-    """Fresh-root joins of all unordered distinct pairs from level n+1."""
-    _check_family(n)
+def ee_set(n: int, *, name: str = "n") -> frozenset[PointedModel]:
+    """Fresh-root joins of all unordered distinct pairs from level n+1;
+    refused as ``_check_family`` says."""
+    _check_family(n, "pair", name)
     frames = [model_of(a) for a in sorted(v_level(n + 1))]
     return frozenset(join(pair) for pair in itertools.combinations(frames, 2))

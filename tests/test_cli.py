@@ -235,6 +235,22 @@ def test_gen_level_guard(capsys):
     assert err == "refused: refusing to enumerate level 6\n"
 
 
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["gen", "--vv", "-1"], 2, "error: --vv must be non-negative\n"),
+        (["gen", "--ee", "-1"], 2, "error: --ee must be non-negative\n"),
+        (["gen", "--level", "-1"], 2, "error: --level must be non-negative\n"),
+        (["gen", "--vv", "4"], 1, "refused: refusing to build the singleton family at n=4\n"),
+        (["gen", "--ee", "4"], 1, "refused: refusing to build the pair family at n=4\n"),
+        (["experiment", "--n", "4"], 1, "refused: the pair family at n=4 is not enumerable\n"),
+    ],
+)
+def test_family_and_level_refusals(capsys, argv, code, err):
+    # the library refuses, worded after the flag; the command adds the prefix
+    assert run(capsys, *argv)[::2] == (code, err)
+
+
 def test_gen_vv_files(capsys, tmp_path):
     out_dir = tmp_path / "generated"
     code, out, _ = run(capsys, "gen", "--vv", "2", "--out", str(out_dir))

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 import weakref
 from dataclasses import dataclass
@@ -1113,6 +1114,50 @@ def test_n3_table_counts_and_stops_are_pinned(monkeypatch, vv2, ee2, vv3, ee3):
         with pytest.raises(SearchBudgetExceeded) as exc:
             run()
         assert exc.value.nodes == nodes
+
+
+def test_table_budgets_are_flat_tuples_shared_per_layer(monkeypatch, vv2, ee2):
+    # a kept vector costs its key, its place in its layer and one reference
+    # to the budget tuple its layer shares: the 16-chain against a loop keeps
+    # 65,536 vectors at about 81 traced bytes each (225 with a list of
+    # budget tuples per vector)
+    solvers = []
+
+    class RecordingSolver(game._Solver):
+        def __init__(self, pos, node_limit, *, table):
+            super().__init__(pos, node_limit, table=table)
+            solvers.append(self)
+
+    monkeypatch.setattr(game, "_Solver", RecordingSolver)
+    left, right = _chain_against_loop(16)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert [(m, k) for m, k, _ in minimal_separating(left, right, 16)] == [(16, 0)]
+        traced = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    reached = solvers.pop()._reached
+    assert len(reached) == 1 << 16
+    assert traced / len(reached) <= 120, traced / len(reached)
+    # on the n=2 frontier each vector lists (m1, k1, m2, k2, ...), exactly the
+    # budgets of the layers that hold it, in the order they were built; a
+    # vector in one layer holds that layer's own tuple, and 16 of the 920
+    # vectors reach a second, incomparable budget
+    minimal_separating(vv2, ee2, 15)
+    solver = solvers.pop()
+    holding: dict[int, list[tuple[int, int]]] = {}
+    for budget, layer in solver._table.items():
+        for v in layer:
+            holding.setdefault(v, []).append(budget)
+    assert holding.keys() == solver._reached.keys()
+    shared: dict[tuple[int, ...], set[int]] = {}
+    for v, budgets in solver._reached.items():
+        assert list(zip(budgets[::2], budgets[1::2])) == holding[v], v
+        if len(budgets) == 2:
+            shared.setdefault(budgets, set()).add(id(budgets))
+    assert all(len(ids) == 1 for ids in shared.values())
+    assert sum(len(budgets) > 2 for budgets in solver._reached.values()) == 16
 
 
 def _first_split_by_search(solver, m: int, k: int, side: int, other: int, split_left: bool):

@@ -127,6 +127,20 @@ def test_family_guards():
         ee_set(4)
 
 
+def test_refusals_are_worded_after_the_callers_name():
+    # a family past the cap gets its own refusal type, and a negative n is
+    # worded after the caller's name for it, as a command-line flag passes
+    with pytest.raises(hierarchy.FamilyTooLarge, match=r"^refusing to build the singleton family at n=4$"):
+        vv_set(4, name="--vv")
+    with pytest.raises(hierarchy.FamilyTooLarge, match=r"^refusing to build the pair family at n=5$"):
+        ee_set(5)
+    for build in (vv_set, ee_set, v_level):
+        with pytest.raises(ValueError, match=r"^n must be non-negative$"):
+            build(-1)
+        with pytest.raises(ValueError, match=r"^--flag must be non-negative$"):
+            build(-1, name="--flag")
+
+
 def test_family_members_are_root_joins(vv2, ee2):
     for member in vv2:
         assert member.point == "_root"
