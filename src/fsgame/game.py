@@ -34,13 +34,13 @@ class SearchBudgetExceeded(RuntimeError):
 
     ``nodes`` counts the search states explored plus the truth vectors the
     solver's table kept, the two kinds of work the budget bounds.  The table
-    checks the limit after each operand row of a layer, so ``nodes`` can pass
-    the limit by up to one row: at most twice the largest layer combined.  An
-    n=21 chain against a loop in ``minimal_separating`` with
-    ``node_limit=10_000`` stops at 16,637.  The ceiling layer is decided
-    without being kept or charged, by at most the product work of building
-    it, over layers already charged (``_Solver._ceiling_holds``).  The default
-    limit bounds a table at about 1.5 GB (``DEFAULT_NODE_LIMIT``)."""
+    keeps each vector with its complement and checks the limit after each
+    such pair, so ``nodes`` passes the limit by one or two: an n=21 chain
+    against a loop in ``minimal_separating`` with ``node_limit=10_000`` stops
+    at 10,001.  The ceiling layer is decided without being kept or charged,
+    by at most twice the product work of building it, over layers already
+    charged (``_Solver._ceiling_holds``).  The default limit bounds a table at
+    about 1.5 GB (``DEFAULT_NODE_LIMIT``)."""
 
     def __init__(self, nodes: int) -> None:
         super().__init__(
@@ -424,16 +424,18 @@ class _Solver:
     partition S wins, in the order the table-less walk tries them, comes from
     the vectors that fit each part (``_first_winning_part``), and only that
     partition is searched.  Both cut only subtrees D wins, so the formulas
-    found stay the same.  ``<>`` of a vector ORs one precomputed
-    entry per byte of it (``_byte_tables``), and a pair of sides never scans
-    a layer twice without a separator.  Each vector the table keeps is
-    charged as one node, so ``node_limit`` bounds the table too and
-    ``nodes`` counts search states plus table vectors, but for the ceiling
-    layer m + k = pos.m + pos.k, which only root queries reach: it is decided
-    without being kept or charged, by at most the product work of building
-    it, over layers already charged (``_ceiling_holds``).  ``table=None``
-    builds the table when the root would split more ways than the universe
-    has classes: k >= 1 and 2^(a-1) + 2^(b-1) > |universe|, for a and b
+    found stay the same.  Every layer is closed under complement, as the
+    budget counts no negation, so a layer is built from <> and & alone and
+    each new vector is kept with its complement (``_new_vectors``).  ``<>``
+    of a vector ORs one precomputed entry per byte of it (``_byte_tables``),
+    and a pair of sides never scans a layer twice without a separator.  Each
+    vector the table keeps is charged as one node, so ``node_limit`` bounds
+    the table too and ``nodes`` counts search states plus table vectors, but
+    for the ceiling layer m + k = pos.m + pos.k, which only root queries
+    reach: it is decided without being kept or charged, by at most twice the
+    product work of building it, over layers already charged
+    (``_ceiling_holds``).  ``table=None`` builds the table when the root
+    would split more ways than the universe has classes: k >= 1 and 2^(a-1) + 2^(b-1) > |universe|, for a and b
     distinct depth-m classes on the root's two sides.  Below that a small
     solve pays more for the table than it saves.  ``minimal_separating``,
     which asks one solver a whole budget grid, always builds it.  ``root``
@@ -509,6 +511,7 @@ class _Solver:
         self._table: dict[tuple[int, int], list[int]] | None = None
         if table:
             self._table = {}
+            self._full = full
             self._ceiling = pos.m + pos.k  # the largest m + k a query asks
             self._reached: dict[int, tuple[int, ...]] = {}
             self._scanned: dict[tuple[int, int], list[int]] = {}
@@ -595,7 +598,7 @@ class _Solver:
         if self._table is None:
             partitions = _iter_partitions(side)
         else:
-            part1 = self._first_winning_part(m, k, side, other, split_left)
+            part1 = self._first_winning_part(m, k, side, other)
             partitions = [] if part1 is None else [(part1, side ^ part1)]
         others = self._cut(other, m)
         for part1, part2 in partitions:
@@ -643,9 +646,7 @@ class _Solver:
                 return ml.Or(f1, f2) if split_left else ml.And(f1, f2)
         return None
 
-    def _first_winning_part(
-        self, m: int, k: int, side: int, other: int, split_left: bool
-    ) -> int | None:
+    def _first_winning_part(self, m: int, k: int, side: int, other: int) -> int | None:
         """Part 1 of the first partition of ``side``, in ``_anchored_partitions``
         order, whose two parts S wins at some split (m1, k1) + (m2, k2) of
         (m, k); None when no partition wins.  Read off the table, with no
@@ -653,13 +654,15 @@ class _Solver:
 
         An or-split part P wins (m1, k1) iff P is inside some vector v within
         (m1, k1) that misses ``other``; an and-split part wins iff it misses
-        some v that holds all of ``other``.  A formula of modal depth at most
-        m1 has the same truth on a depth-m class as on its cut at m1, so the
-        uncut masks answer for the cut ones.  The parts that win a budget are
-        thus the subsets of its projections s (side & v, or side & ~v for an
-        and-split).  A partition (anchor | sub, rest ^ sub) wins at a pair iff
-        some s1 holding the anchor and some s2 cover the side together, and
-        the least sub that s2 allows is rest & ~s2.  The layers within
+        some v that holds all of ``other``, that is iff P is inside ~v, which
+        misses ``other`` and lies in the same layers, as every layer is
+        closed under complement.  So both kinds of split win the same parts.
+        A formula of modal depth at most m1 has the same truth on a depth-m
+        class as on its cut at m1, so the uncut masks answer for the cut
+        ones.  The parts that win a budget are thus the subsets of its
+        projections s = side & v.  A partition (anchor | sub, rest ^ sub)
+        wins at a pair iff some s1 holding the anchor and some s2 cover the
+        side together, and the least sub that s2 allows is rest & ~s2.  The layers within
         (m, k - 1) are built where missing, kk-outer and mm-inner.
         """
         anchor = side & -side
@@ -669,10 +672,7 @@ class _Solver:
         for kk in range(k):
             for mm in range(m + 1):
                 layer = self._layer(mm, kk)
-                if split_left:
-                    found = {side & v for v in layer if not v & other}
-                else:
-                    found = {side & ~v for v in layer if v & other == other}
+                found = {side & v for v in layer if not v & other}
                 if mm:
                     found |= within[mm - 1, kk]
                 if kk:
@@ -708,8 +708,8 @@ class _Solver:
         builds its layers through the same ``_layer``, in the same order.  A
         query at the ceiling, m + k = pos.m + pos.k, decides its own layer,
         the last it scans, with ``_ceiling_holds``: the layer is not kept or
-        charged, and the test does at most the product work of building it,
-        over layers already charged.
+        charged, and the test does at most twice the product work of building
+        it, over layers already charged.
         """
         scanned = self._scanned.get((A, B))
         if scanned is None:
@@ -733,30 +733,29 @@ class _Solver:
     def _ceiling_holds(self, m: int, k: int, A: int, B: int) -> bool:
         """Whether layer (m, k) would hold a v with A <= v and v & B == 0,
         tested on the candidates ``_new_vectors`` would make from the layers
-        below, which must be built.  v1 | v2 separates iff both miss B and
-        their projections on A cover A; v1 & v2 iff both hold A and their
-        projections on B are disjoint.  A candidate a smaller budget reaches
-        separates there too, so after ``_separable`` scanned the layers below
-        the answer is that of a scan of the built layer.  The work is at most
-        the product work of building the layer, over layers already charged;
-        no node is charged."""
+        below, which must be built.  Those are <>v and v1 & v2 and their
+        complements, and a complement separates A from B iff its candidate
+        separates B from A, so ``_forms_separator`` asks both ways: in effect
+        it tests [] and | as well as <> and &.  A candidate a smaller budget
+        reaches separates there too, so after ``_separable`` scanned the
+        layers below the answer is that of a scan of the built layer.  The
+        work is at most twice the product work of building the layer, over
+        layers already charged; no node is charged."""
         if m == 0 and k == 0:
             return any(A & truth == A and not truth & B for _, truth, _ in self.literals)
+        return self._forms_separator(m, k, A, B) or self._forms_separator(m, k, B, A)
+
+    def _forms_separator(self, m: int, k: int, A: int, B: int) -> bool:
+        """Whether some <>v or v1 & v2 that ``_new_vectors`` forms for layer
+        (m, k) holds on all of A and misses B.  <>v misses B iff v misses B's
+        children; v1 & v2 separates iff both hold A and their projections on
+        B are disjoint."""
         if m >= 1:
-            # <>v misses B iff v misses B's children; []v holds on A iff v
-            # holds all of A's children
-            full = (1 << len(self.types)) - 1
-            kids_a, kids_b = self._union_children(A), self._union_children(B)
+            kids_b = self._union_children(B)
             for v in self._table[m - 1, k]:
                 if not v & kids_b and self._diamond(v) & A == A:
                     return True
-                if v & kids_a == kids_a and self._diamond(full ^ v) & B == B:
-                    return True
         for layer1, layer2 in self._operand_pairs(m, k):
-            covers = {A & v for v in layer2 if not v & B}
-            for p1 in {A & v for v in layer1 if not v & B}:
-                if any(p1 | p2 == A for p2 in covers):
-                    return True
             misses = {B & v for v in layer2 if A & v == A}
             for q1 in {B & v for v in layer1 if A & v == A}:
                 if any(not q1 & q2 for q2 in misses):
@@ -796,56 +795,62 @@ class _Solver:
 
         Each layer combines only the new vectors of the layers below it, and
         misses none: an operand that a smaller budget already reaches gives a
-        vector that a budget smaller than (m, k) reaches too.  Each vector
-        kept is charged as one node, and the limit is checked after the
-        literals, after the modal step and after each operand row of a
-        product.  A stop therefore passes the limit by at most one row, which
-        adds at most twice the largest layer combined: the v1 & v2 and
-        v1 | v2 of one v1 with each v2.  The ceiling layer is not built here
-        but decided, without being kept or charged, by ``_ceiling_holds``,
-        whose work is at most this product work over the same operands."""
-        table = self._table
+        vector that a budget smaller than (m, k) reaches too.  Negation is
+        not counted, so the dual of a formula has its budget, and every layer
+        is closed under complement (the literals come in pairs).  With v
+        ranging over a closed layer, []v = ~<>~v and v1 | v2 = ~(~v1 & ~v2)
+        are complements of candidates too, so only <>v and v1 & v2 are
+        formed, and ``_keep`` keeps each new one with its complement.  Each
+        vector kept is charged as one node, and the limit is checked after
+        each pair kept, so a stop passes it by one or two nodes.  The ceiling
+        layer is not built here but decided, without being kept or charged,
+        by ``_ceiling_holds``, whose work is at most twice this product work
+        over the same operands."""
         budget = (m, k)  # one tuple, shared by every vector this layer keeps
         new: list[int] = []
         if m == 0 and k == 0:
             self._keep(budget, {truth for _, truth, _ in self.literals}, new)
         if m >= 1:
-            full = (1 << len(self.types)) - 1
-            layer = table[m - 1, k]
-            found = set(map(self._diamond, layer))
-            found.update(full ^ self._diamond(full ^ v) for v in layer)
-            self._keep(budget, found, new)
+            self._keep(budget, set(map(self._diamond, self._table[m - 1, k])), new)
         for layer1, layer2 in self._operand_pairs(m, k):
             for v1 in layer1:
-                row = {v1 & v2 for v2 in layer2}
-                row.update([v1 | v2 for v2 in layer2])
-                self._keep(budget, row, new)
+                self._keep(budget, {v1 & v2 for v2 in layer2}, new)
         return new
 
     def _keep(self, budget: tuple[int, int], found: set[int], new: list[int]) -> None:
         """Append to ``new`` the candidates of layer ``budget`` = (m, k) that
-        no budget up to (m, k) reaches yet, charging one node for each.  A
-        candidate met earlier in this layer is refused here too: it was kept,
-        and (m, k) now reaches it, or a smaller budget reached it then."""
+        no budget up to (m, k) reaches yet, each followed by its complement,
+        charging one node for each and checking the limit after each pair.
+        A candidate and its complement have the same minimal budgets, so both
+        map to one tuple of them.  A candidate met earlier in this layer is
+        refused here too: it was kept, and (m, k) now reaches it, or a
+        smaller budget reached it then.  Only in an empty universe is a
+        vector its own complement; it is kept once."""
         reached = self._reached
+        full = self._full
         m, k = budget
-        kept = len(new)
+        start = self.nodes - len(new)  # the nodes charged before this layer
+        room = self.node_limit - start
         for v in found:
             budgets = reached.get(v)
             if budgets is None:
-                reached[v] = budget
-                new.append(v)
-            elif budgets[0] > m or budgets[1] > k:
-                # the rare vector whose first budget is not within (m, k)
-                for i in range(2, len(budgets), 2):
-                    if budgets[i] <= m and budgets[i + 1] <= k:
-                        break
-                else:
-                    reached[v] = budgets + budget
-                    new.append(v)
-        self.nodes += len(new) - kept
-        if self.nodes > self.node_limit:
-            raise SearchBudgetExceeded(self.nodes)
+                budgets = budget
+            # any() only for the rare vector whose first budget is not within (m, k)
+            elif (budgets[0] <= m and budgets[1] <= k) or any(
+                budgets[i] <= m and budgets[i + 1] <= k for i in range(2, len(budgets), 2)
+            ):
+                continue
+            else:
+                budgets += budget
+            dual = full ^ v
+            reached[v] = reached[dual] = budgets
+            new.append(v)
+            if dual != v:
+                new.append(dual)
+            if len(new) > room:
+                self.nodes = start + len(new)
+                raise SearchBudgetExceeded(self.nodes)
+        self.nodes = start + len(new)
 
     def _diamond(self, v: int) -> int:
         """The classes with a child in v: one lookup per byte of v."""
@@ -1004,7 +1009,8 @@ def solve(pos: GamePosition, *, node_limit: int | None = None) -> Verdict:
     (``_Solver``'s rule); the table answers every subtree D wins without a
     search, and the verdict's ``nodes`` then counts the table's vectors too.
     The root's own layer (m, k) is decided without being kept or charged, by
-    at most the product work of building it, over layers already charged.
+    at most twice the product work of building it, over layers already
+    charged.
 
     Raises ``SearchBudgetExceeded`` (never a verdict) when the node ceiling is
     hit; it bounds search states and table vectors together.  Raises
@@ -1280,11 +1286,11 @@ def minimal_separating(
     truth-vector table across the whole budget grid.  The table answers every
     position where no formula within budget separates without a search, so
     only positions S wins are expanded.  The layers m + k = max_total are
-    decided without being kept or charged, each by at most the product work
-    of building it, over layers already charged.  A budget or ``node_limit``
-    that is not a non-negative integer raises ``ValueError``; the errors of
-    ``solve`` stop it too, and ``SearchTooDeep`` names the modal budget of the
-    query that nested too deep.
+    decided without being kept or charged, each by at most twice the product
+    work of building it, over layers already charged.  A budget or
+    ``node_limit`` that is not a non-negative integer raises ``ValueError``;
+    the errors of ``solve`` stop it too, and ``SearchTooDeep`` names the modal
+    budget of the query that nested too deep.
     """
     if type(max_total) is not int or max_total < 0:
         raise ValueError(f"budget must be a non-negative integer, got {max_total!r}")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fsgame import bisim, game
 from fsgame.game import (
@@ -902,8 +903,9 @@ def test_n3_solve_is_decided_by_the_table(vv3, ee3):
 
 def test_small_node_limits_stop_the_n3_table(vv3, ee3):
     # the table is charged per vector and the limit is checked after each
-    # operand row, so a run stops about one row past it (a check per layer
-    # stopped the 3,000 run at 4,212)
+    # vector kept with its complement, so a run stops one or two nodes past
+    # it (a check per operand row stopped the 3,000 run at 3,032, a check
+    # per layer at 4,212)
     for limit, run in (
         (200, lambda: minimal_separating(vv3, ee3, 16, node_limit=200)),
         (3_000, lambda: minimal_separating(vv3, ee3, 16, node_limit=3_000)),
@@ -912,7 +914,7 @@ def test_small_node_limits_stop_the_n3_table(vv3, ee3):
         started = time.perf_counter()
         with pytest.raises(SearchBudgetExceeded) as exc:
             run()
-        assert limit < exc.value.nodes < limit + 100 and time.perf_counter() - started < 5
+        assert limit < exc.value.nodes <= limit + 2 and time.perf_counter() - started < 5
 
 
 def test_diamond_reads_the_class_by_class_definition(vv2, ee2, vv3, ee3):
@@ -936,6 +938,107 @@ def test_diamond_reads_the_class_by_class_definition(vv2, ee2, vv3, ee3):
         for v in masks:
             expected = sum(1 << i for i in range(size) if kids[i] & v)
             assert solver._diamond(v) == expected, (size, v)
+
+
+def _closed_table_vectors(solver) -> int:
+    """Assert that every built layer of a table is its own set of
+    complements, with no vector twice, and that a vector and its complement
+    share one budget tuple; return how many vectors the layers hold."""
+    full = (1 << len(solver.types)) - 1
+    for budget, layer in solver._table.items():
+        assert len(set(layer)) == len(layer), budget
+        assert {full ^ v for v in layer} == set(layer), budget
+    reached = solver._reached
+    assert all(reached[v] is reached[full ^ v] for v in reached)
+    return sum(map(len, solver._table.values()))
+
+
+def test_every_table_layer_is_closed_under_complement(monkeypatch, vv2, ee2, vv3, ee3):
+    # the budget counts no negation, so the dual of a formula has its (m, k)
+    # and every layer is closed under complement: the table forms only <>
+    # and &, and keeps each new vector with its complement
+    solvers = []
+
+    class RecordingSolver(game._Solver):
+        def __init__(self, pos, node_limit, *, table):
+            super().__init__(pos, node_limit, table=table)
+            solvers.append(self)
+
+    monkeypatch.setattr(game, "_Solver", RecordingSolver)
+    assert len(minimal_separating(vv2, ee2, 15)) == 1
+    assert minimal_separating(vv3, ee3, 12) == []
+    assert [_closed_table_vectors(solver) for solver in solvers] == [936, 4_136]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.integers(0, 2))
+def test_seeded_table_layers_are_closed_under_complement(seed, m, k):
+    # a searched position, then every layer within its budget, the ceiling too
+    pos = random_position(random.Random(seed), max_worlds=4, max_side=3, max_props=2, m=m, k=k)
+    solver = game._Solver(pos, None, table=True)
+    solver.win(m, k, *solver.root(m))
+    solver._layer(m, k)
+    _closed_table_vectors(solver)
+
+
+def test_an_empty_universe_keeps_the_literal_layer_once():
+    # with no class every literal's truth vector is 0, its own complement:
+    # layer (0, 0) keeps it once, and no other layer keeps a vector
+    solver = game._Solver(GamePosition(2, 2, frozenset(), frozenset()), None, table=True)
+    assert solver._layer(2, 2) == []
+    assert solver._table[0, 0] == [0] and solver.nodes == 1
+    assert all(layer == [] for budget, layer in solver._table.items() if budget != (0, 0))
+
+
+def _reference_layers(solver, m: int, k: int) -> dict[tuple[int, int], set[int]]:
+    """The vectors new to each budget within (m, k): those within it and
+    within no smaller one.  The vectors within a budget are built plainly,
+    with &, |, <> and [] over all vectors within the smaller budgets, and
+    <> read class by class."""
+    size = len(solver.types)
+    full = (1 << size) - 1
+    kids = [solver._union_children(1 << i) for i in range(size)]
+    diamond = lambda v: sum(1 << i for i in range(size) if kids[i] & v)
+    within: dict[tuple[int, int], set[int]] = {}
+    new = {}
+    for kk in range(k + 1):
+        for mm in range(m + 1):
+            smaller = set()
+            if mm:
+                smaller |= within[mm - 1, kk]
+            if kk:
+                smaller |= within[mm, kk - 1]
+            found = set(smaller)
+            if mm == kk == 0:
+                found = {truth for _, truth, _ in solver.literals}
+            if mm:
+                found |= {diamond(v) for v in within[mm - 1, kk]}
+                found |= {full ^ diamond(full ^ v) for v in within[mm - 1, kk]}
+            for k1 in range(kk):
+                for m1 in range(mm + 1):
+                    for v1 in within[m1, k1]:
+                        for v2 in within[mm - m1, kk - 1 - k1]:
+                            found.add(v1 & v2)
+                            found.add(v1 | v2)
+            within[mm, kk] = found
+            new[mm, kk] = found - smaller
+    return new
+
+
+def test_table_layers_match_a_plain_reference_build():
+    # each layer, as a set, holds the vectors new to its budget, and the
+    # solver charges one node for each of them
+    rng = random.Random(29)
+    for _ in range(100):
+        m, k = rng.randint(0, 3), rng.randint(0, 2)
+        pos = random_position(rng, max_worlds=4, max_side=3, max_props=2, m=m, k=k)
+        solver = game._Solver(pos, None, table=True)
+        solver._layer(m, k)
+        reference = _reference_layers(solver, m, k)
+        assert solver._table.keys() == reference.keys()
+        for budget, layer in solver._table.items():
+            assert len(set(layer)) == len(layer) and set(layer) == reference[budget], (pos, budget)
+        assert solver.nodes == sum(map(len, reference.values())), pos
 
 
 def _scan_from_scratch(solver, m: int, k: int, A: int, B: int) -> bool:
@@ -1009,11 +1112,11 @@ def test_scan_record_answers_like_a_full_scan(monkeypatch, vv1, ee1, vv2, ee2):
             self.decided.append(answer)
             return answer
 
-        def _first_winning_part(self, m, k, side, other, split_left):
+        def _first_winning_part(self, m, k, side, other):
             for kk in range(k):
                 for mm in range(m + 1):
                     self.reference._layer(mm, kk)
-            return super()._first_winning_part(m, k, side, other, split_left)
+            return super()._first_winning_part(m, k, side, other)
 
     monkeypatch.setattr(game, "_Solver", CheckedSolver)
     frontier = minimal_separating(vv2, ee2, 15)
@@ -1087,7 +1190,9 @@ def test_the_literal_layer_is_decided_at_a_zero_ceiling():
 
 def test_n3_table_counts_and_stops_are_pinned(monkeypatch, vv2, ee2, vv3, ee3):
     # a node count or a stop that moves without a reason is a regression of
-    # the table; the limit is checked after each operand row
+    # the table; the limit is checked after each vector kept with its
+    # complement, so each run stops one or two nodes past it (the stops
+    # were 231, 3,032, 203, 157, 1,012 and 17 with a check per operand row)
     solvers = []
 
     class RecordingSolver(game._Solver):
@@ -1102,15 +1207,15 @@ def test_n3_table_counts_and_stops_are_pinned(monkeypatch, vv2, ee2, vv3, ee3):
     # ceiling layers m + k = 16 are decided without being built (113,961
     # nodes when they were)
     assert solvers.pop().nodes == 59_149
-    stops = {
-        231: lambda: minimal_separating(vv3, ee3, 16, node_limit=200),
-        3_032: lambda: minimal_separating(vv3, ee3, 16, node_limit=3_000),
-        203: lambda: solve(GamePosition(8, 4, vv3, ee3), node_limit=200),
-        157: lambda: minimal_separating(vv2, ee2, 15, node_limit=144),
-        1_012: lambda: minimal_separating(vv2, ee2, 15, node_limit=1_000),
-        17: lambda: solve(GamePosition(6, 3, vv2, ee2), node_limit=10),
-    }
-    for nodes, run in stops.items():
+    stops = [
+        (201, lambda: minimal_separating(vv3, ee3, 16, node_limit=200)),
+        (3_002, lambda: minimal_separating(vv3, ee3, 16, node_limit=3_000)),
+        (201, lambda: solve(GamePosition(8, 4, vv3, ee3), node_limit=200)),
+        (145, lambda: minimal_separating(vv2, ee2, 15, node_limit=144)),
+        (1_001, lambda: minimal_separating(vv2, ee2, 15, node_limit=1_000)),
+        (11, lambda: solve(GamePosition(6, 3, vv2, ee2), node_limit=10)),
+    ]
+    for nodes, run in stops:
         with pytest.raises(SearchBudgetExceeded) as exc:
             run()
         assert exc.value.nodes == nodes
@@ -1186,13 +1291,16 @@ def _first_split_by_search(solver, m: int, k: int, side: int, other: int, split_
 def test_table_picks_the_split_the_walk_finds(vv1, ee1, vv2, ee2):
     # a solver with the table reads the first winning partition off its
     # vectors, where a solver without one walks every partition: the
-    # formulas are the same, and the pick is the first partition S wins
+    # formulas are the same, and the pick is the first partition S wins.
+    # The layers are closed under complement, so S wins the same parts of
+    # an or-split of side against other as of an and-split: one pick serves
+    # both kinds
     picks = []
 
     class RecordingSolver(game._Solver):
-        def _first_winning_part(self, m, k, side, other, split_left):
-            part1 = super()._first_winning_part(m, k, side, other, split_left)
-            picks.append((self, m, k, side, other, split_left, part1))
+        def _first_winning_part(self, m, k, side, other):
+            part1 = super()._first_winning_part(m, k, side, other)
+            picks.append((self, m, k, side, other, part1))
             return part1
 
     rng = random.Random(20240521)
@@ -1208,8 +1316,9 @@ def test_table_picks_the_split_the_walk_finds(vv1, ee1, vv2, ee2):
         walk = game._Solver(pos, None, table=False)
         assert table.win(m, k, *table.root(m)) == walk.win(m, k, *walk.root(m)), pos
     assert sum(part1 is not None for *_, part1 in picks) >= 100, len(picks)
-    for solver, m, k, side, other, split_left, part1 in picks:
-        assert part1 == _first_split_by_search(solver, m, k, side, other, split_left)
+    for solver, m, k, side, other, part1 in picks:
+        for split_left in (True, False):
+            assert part1 == _first_split_by_search(solver, m, k, side, other, split_left)
 
 
 def _wide_split(n: int) -> GamePosition:
