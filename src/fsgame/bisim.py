@@ -29,12 +29,18 @@ class _ChildKey(tuple):
 
 
 class _TypeTable:
-    """Hash-consed behavior descriptors: (propositions, set of child ids)."""
+    """Hash-consed behavior descriptors: (propositions, set of child ids).
+
+    ``_descs[t]`` is the descriptor of class t, the very key ``_ids`` maps to
+    t."""
 
     def __init__(self) -> None:
         self._ids: dict[tuple[frozenset[str], frozenset[int]], int] = {}
-        self._props: list[frozenset[str]] = []
-        self._children: list[frozenset[int]] = []
+        self._descs: list[tuple[frozenset[str], frozenset[int]]] = []
+        # a class's sort key twice: plain for sorting classes, and as the
+        # ``_ChildKey`` its parents' keys hold.  A class that defines __eq__
+        # sends every < through a Python-level slot, so sorting by _ChildKey
+        # would take about 2.4 times as long
         self._keys: list[tuple] = []
         self._child_keys: list[_ChildKey] = []
 
@@ -53,19 +59,18 @@ class _TypeTable:
             head = (text + "|".join([k[0] for k in ckeys]) + ")")[: len(text) + 64]
             sort_key = (head, *ckeys)
             child_key = _ChildKey(sort_key)
-            tid = len(self._props)
-            self._props.append(props)
-            self._children.append(children)
+            tid = len(self._descs)
+            self._descs.append(key)
             self._keys.append(sort_key)
             self._child_keys.append(child_key)
             self._ids[key] = tid
         return tid
 
     def props(self, tid: int) -> frozenset[str]:
-        return self._props[tid]
+        return self._descs[tid][0]
 
     def children(self, tid: int) -> frozenset[int]:
-        return self._children[tid]
+        return self._descs[tid][1]
 
 
 TYPES = _TypeTable()
@@ -83,13 +88,13 @@ def _layers(model: KripkeModel, depth: int) -> list[dict[str, int]]:
         base = {w: TYPES.intern(model.props_at(w), frozenset()) for w in model.worlds}
         layers = model._layers = [base]
     base = layers[0]  # a world's propositions are those of its depth-0 class
-    ids, props, intern = TYPES._ids, TYPES._props, TYPES.intern
+    ids, descs, intern = TYPES._ids, TYPES._descs, TYPES.intern
     while len(layers) <= depth:
         prev = layers[-1]
         layer = {}
         for w, succ in model._succ.items():
             # a class met before costs one lookup; only a new one is interned
-            key = (props[base[w]], frozenset([prev[v] for v in succ]))
+            key = (descs[base[w]][0], frozenset([prev[v] for v in succ]))
             tid = ids.get(key)
             layer[w] = intern(*key) if tid is None else tid
         layers.append(layer)

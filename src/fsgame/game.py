@@ -24,9 +24,8 @@ from .logic.ml import BOT, TOP, Bot, MLFormula, NegProp, Prop, Top, extent, ml_s
 from .logic.ml import eval_ml  # noqa: F401  (kept importable here: a benchmark probe site)
 
 DEFAULT_NODE_LIMIT = 10_000_000
-"""A node is a search state or a kept table vector, which costs 120-150 bytes
-(RSS, Python 3.11: 126 on the 20-chain against a loop, 148 on the n=3 frontier
-to size 22), so this default bounds a table at about 1.5 GB."""
+"""A node is a search state or a kept table vector; ``_Solver`` states what a
+vector costs, and so the memory this default bounds."""
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -37,10 +36,8 @@ class SearchBudgetExceeded(RuntimeError):
     keeps each vector with its complement and checks the limit after each
     such pair, so ``nodes`` passes the limit by one or two: an n=21 chain
     against a loop in ``minimal_separating`` with ``node_limit=10_000`` stops
-    at 10,001.  The ceiling layer is decided without being kept or charged,
-    by at most twice the product work of building it, over layers already
-    charged (``_Solver._ceiling_holds``).  The default limit bounds a table at
-    about 1.5 GB (``DEFAULT_NODE_LIMIT``)."""
+    at 10,001.  ``_Solver`` states the work the budget leaves uncharged and
+    the memory it bounds."""
 
     def __init__(self, nodes: int) -> None:
         super().__init__(
@@ -428,16 +425,25 @@ class _Solver:
     budget counts no negation, so a layer is built from <> and & alone and
     each new vector is kept with its complement (``_new_vectors``).  ``<>``
     of a vector ORs one precomputed entry per byte of it (``_byte_tables``),
-    and a pair of sides never scans a layer twice without a separator.  Each
-    vector the table keeps is charged as one node, so ``node_limit`` bounds
-    the table too and ``nodes`` counts search states plus table vectors, but
-    for the ceiling layer m + k = pos.m + pos.k, which only root queries
-    reach: it is decided without being kept or charged, by at most twice the
-    product work of building it, over layers already charged
-    (``_ceiling_holds``).  ``table=None`` builds the table when the root
-    would split more ways than the universe has classes: k >= 1 and 2^(a-1) + 2^(b-1) > |universe|, for a and b
-    distinct depth-m classes on the root's two sides.  Below that a small
-    solve pays more for the table than it saves.  ``minimal_separating``,
+    and a pair of sides never scans a layer twice without a separator.
+
+    Cost.  Each vector the table keeps is charged as one node, so
+    ``node_limit`` bounds the table too and ``nodes`` counts search states
+    plus table vectors, but for the ceiling layer m + k = pos.m + pos.k,
+    which only root queries reach: it is decided without being kept or
+    charged, by at most twice the product work of building it, over layers
+    already charged (``_ceiling_holds``).  A kept vector costs its key, its
+    dict slot and its place in its layer, and the key is an int as wide as
+    the universe, so a node's memory grows with the class count: the peak
+    RSS grew by 109 bytes per node at 23 classes and by 166 at 401 (a chain
+    against a loop stopped at 10^6 nodes, Python 3.11).  The 10^7 nodes of
+    ``DEFAULT_NODE_LIMIT`` thus bound a table at about 1.1 GB at 23 classes
+    and 1.7 GB at 401.
+
+    ``table=None`` builds the table when the root would split more ways than
+    the universe has classes: k >= 1 and 2^(a-1) + 2^(b-1) > |universe|, for
+    a and b distinct depth-m classes on the root's two sides.  Below that a
+    small solve pays more for the table than it saves.  ``minimal_separating``,
     which asks one solver a whole budget grid, always builds it.  ``root``
     passes the root's depth-pos.m classes where the caller typed them.
     """
@@ -465,13 +471,14 @@ class _Solver:
             self._roots[m] = (self.encode(root[0]), self.encode(root[1]))
         size = len(self.types)
         full = (1 << size) - 1
-        class_props, class_children = TYPES._props, TYPES._children
+        descs = TYPES._descs
         holds: dict[str, int] = {}  # proposition -> the classes where it holds
         leaves = 0  # classes without successors
         for t, b in self.bit.items():
-            for p in class_props[t]:
+            props, children = descs[t]
+            for p in props:
                 holds[p] = holds.get(p, 0) | b
-            if not class_children[t]:
+            if not children:
                 leaves |= b
         self.leaves = leaves
         # each literal with the classes where it is true and where it is false
@@ -494,20 +501,14 @@ class _Solver:
         self._unions: dict[int, int] = {}
         self._cuts: dict[tuple[int, int], list[int]] = {}
         if table is None:
-            # a side has no more classes than members, so the members bound
-            # the split count, and only a root that passes that bound is typed
-            table = (
-                pos.k >= 1
-                and _splits(len(pos.left), len(pos.right)) > size
-                and _splits(*(side.bit_count() for side in self.root(pos.m))) > size
-            )
+            left, right = self.root(pos.m)
+            table = pos.k >= 1 and _splits(left.bit_count(), right.bit_count()) > size
         # the truth-vector table: budget -> the vectors first reached there,
         # vector -> its minimal budgets as one flat tuple (m1, k1, m2, k2, ..),
         # a pair of sides -> how many layers of each connective budget were
         # scanned without a separator, and the byte tables of ``_diamond``.
         # A vector's first budget is the (m, k) tuple its layer shares, and a
-        # second is rare (16 of 920 on the n=2 frontier): a kept vector costs
-        # 120-150 bytes, its key, dict slot and place in its layer
+        # second is rare (16 of 920 on the n=2 frontier)
         self._table: dict[tuple[int, int], list[int]] | None = None
         if table:
             self._table = {}
@@ -530,10 +531,6 @@ class _Solver:
     def encode(self, types: Iterable[int]) -> int:
         """The mask of a set of classes; a class repeated sets one bit."""
         return sum(self.bit[t] for t in set(types))
-
-    def decode(self, mask: int) -> list[int]:
-        """The classes of a mask, in sort order."""
-        return [self.types[i] for i in _bits(mask)]
 
     def win(self, m: int, k: int, left: int, right: int) -> MLFormula | None:
         """A separating formula within (m, k), or None.
@@ -707,9 +704,7 @@ class _Solver:
         are those of a full scan, but for the ceiling.  ``_first_winning_part``
         builds its layers through the same ``_layer``, in the same order.  A
         query at the ceiling, m + k = pos.m + pos.k, decides its own layer,
-        the last it scans, with ``_ceiling_holds``: the layer is not kept or
-        charged, and the test does at most twice the product work of building
-        it, over layers already charged.
+        the last it scans, with ``_ceiling_holds`` instead of building it.
         """
         scanned = self._scanned.get((A, B))
         if scanned is None:
@@ -738,9 +733,8 @@ class _Solver:
         separates B from A, so ``_forms_separator`` asks both ways: in effect
         it tests [] and | as well as <> and &.  A candidate a smaller budget
         reaches separates there too, so after ``_separable`` scanned the
-        layers below the answer is that of a scan of the built layer.  The
-        work is at most twice the product work of building the layer, over
-        layers already charged; no node is charged."""
+        layers below the answer is that of a scan of the built layer.
+        ``_Solver`` states its cost."""
         if m == 0 and k == 0:
             return any(A & truth == A and not truth & B for _, truth, _ in self.literals)
         return self._forms_separator(m, k, A, B) or self._forms_separator(m, k, B, A)
@@ -800,12 +794,9 @@ class _Solver:
         is closed under complement (the literals come in pairs).  With v
         ranging over a closed layer, []v = ~<>~v and v1 | v2 = ~(~v1 & ~v2)
         are complements of candidates too, so only <>v and v1 & v2 are
-        formed, and ``_keep`` keeps each new one with its complement.  Each
-        vector kept is charged as one node, and the limit is checked after
-        each pair kept, so a stop passes it by one or two nodes.  The ceiling
-        layer is not built here but decided, without being kept or charged,
-        by ``_ceiling_holds``, whose work is at most twice this product work
-        over the same operands."""
+        formed, and ``_keep`` keeps and charges each new one with its
+        complement.  The ceiling layer is not built here but decided by
+        ``_ceiling_holds``."""
         budget = (m, k)  # one tuple, shared by every vector this layer keeps
         new: list[int] = []
         if m == 0 and k == 0:
@@ -1008,9 +999,8 @@ def solve(pos: GamePosition, *, node_limit: int | None = None) -> Verdict:
     table when the root would split more ways than the universe has classes
     (``_Solver``'s rule); the table answers every subtree D wins without a
     search, and the verdict's ``nodes`` then counts the table's vectors too.
-    The root's own layer (m, k) is decided without being kept or charged, by
-    at most twice the product work of building it, over layers already
-    charged.
+    The root's own layer (m, k) is decided, not built; ``_Solver`` states
+    what that costs.
 
     Raises ``SearchBudgetExceeded`` (never a verdict) when the node ceiling is
     hit; it bounds search states and table vectors together.  Raises
@@ -1239,19 +1229,18 @@ def _matching_successor(p: PointedModel, target: PointedModel, depth: int) -> Po
     raise StrategyError("pinned pair is not equivalent deeply enough to answer")
 
 
-def exhaustive_playout(responder, literals: list[MLFormula] | None = None) -> bool:
+def exhaustive_playout(responder) -> bool:
     """Play every legal first-player continuation against the responder.
 
     Returns True iff no reachable terminal is a first-player win.  Every
     position of a game has the root's members or their successors, so the
-    root's literal list (``literals``, made here when None) serves them all.
-    The moves at each position are those of ``legal_moves``, in its order,
-    made one at a time; every position reached gets one ``_terminal``
-    check, and only the ongoing ones are expanded.
+    root's literal list serves them all.  The moves at each position are
+    those of ``legal_moves``, in its order, made one at a time; every
+    position reached gets one ``_terminal`` check, and only the ongoing ones
+    are expanded.
     """
     pos = responder.position
-    if literals is None:
-        literals = _position_literals(pos)
+    literals = _position_literals(pos)
     status = _terminal(pos, literals)
     if status is ONGOING:
         return _play_out(responder, literals)
@@ -1286,8 +1275,7 @@ def minimal_separating(
     truth-vector table across the whole budget grid.  The table answers every
     position where no formula within budget separates without a search, so
     only positions S wins are expanded.  The layers m + k = max_total are
-    decided without being kept or charged, each by at most twice the product
-    work of building it, over layers already charged.  A budget or
+    decided, not built; ``_Solver`` states what that costs.  A budget or
     ``node_limit`` that is not a non-negative integer raises ``ValueError``;
     the errors of ``solve`` stop it too, and ``SearchTooDeep`` names the modal
     budget of the query that nested too deep.

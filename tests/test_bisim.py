@@ -60,7 +60,7 @@ def test_class_maps_grow_in_place_on_the_model():
 def test_an_intern_that_fails_leaves_the_type_table_whole():
     # an error while interning (a RecursionError deep in a search, here an
     # unknown child id) adds nothing, so later classes still get their keys
-    lists = (TYPES._props, TYPES._children, TYPES._keys, TYPES._child_keys, TYPES._ids)
+    lists = (TYPES._descs, TYPES._keys, TYPES._child_keys, TYPES._ids)
     sizes = tuple(map(len, lists))
     with pytest.raises(IndexError):
         TYPES.intern(frozenset(), frozenset([sizes[0] + 10]))
@@ -69,6 +69,18 @@ def test_an_intern_that_fails_leaves_the_type_table_whole():
     parent = TYPES.intern(frozenset(), frozenset([leaf]))
     assert (leaf, parent) == (sizes[0], sizes[0] + 1)
     assert TYPES._keys[parent] == ("(;(unseen;))", ("(unseen;)",))
+
+
+def test_each_class_keeps_one_record_the_key_it_is_interned_by():
+    # _descs[t] is the very tuple _ids maps to t, so a class's propositions
+    # and children are held once
+    rng = random.Random(29)
+    for _ in range(100):
+        bounded_type(random_pointed(rng, 4, ("p", "q")), 4)
+    assert len(TYPES._descs) == len(TYPES._ids) > 100
+    for key, tid in TYPES._ids.items():
+        assert TYPES._descs[tid] is key
+        assert (TYPES.props(tid), TYPES.children(tid)) == key
 
 
 def _string_key(tid: int, memo: dict[int, str]) -> str:

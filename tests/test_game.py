@@ -1444,6 +1444,35 @@ def test_keys_that_agree_down_long_chains_order_quickly():
     assert time.perf_counter() - start < 2
 
 
+def test_a_wide_universe_stops_at_its_node_budget_within_its_memory(monkeypatch):
+    # a kept vector's key is an int as wide as the universe, so a vector costs
+    # more on wide universes: the 100-chain against a loop has 101 classes and
+    # keeps about 105 traced bytes per vector when the budget stops it (81 on
+    # the 16-chain)
+    solvers = []
+
+    class RecordingSolver(game._Solver):
+        def __init__(self, pos, node_limit, *, table):
+            super().__init__(pos, node_limit, table=table)
+            solvers.append(self)
+
+    monkeypatch.setattr(game, "_Solver", RecordingSolver)
+    left, right = _chain_against_loop(100)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            minimal_separating(left, right, 100, node_limit=200_000)
+        traced = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    solver = solvers.pop()
+    assert len(solver.types) == 101 and exc.value.nodes == solver.nodes > 200_000
+    reached = solver._reached
+    assert len(reached) > 190_000
+    assert traced / len(reached) <= 150, traced / len(reached)
+
+
 def _chain_against_loop(n: int) -> tuple[frozenset, frozenset]:
     """A chain of n worlds against a one-world loop: only a formula with n
     modal operators separates them."""
@@ -1511,13 +1540,13 @@ def test_solver_memo_keys_are_depth_m_classes(vv2, ee2):
         solver.win(pos.m, pos.k, *solver.root(pos.m))
         assert solver.memo
         for m, _, left, right in solver.memo:
-            classes = solver.decode(left | right)
+            classes = [solver.types[i] for i in game._bits(left | right)]
             assert all(bisim.truncate_type(t, m) == t for t in classes), (pos, m)
 
 
 def _reference_cut(solver, mask: int, m: int) -> list[int]:
     # the cut as computed before the solver kept cut bits per class
-    types = solver.decode(mask)
+    types = [solver.types[i] for i in game._bits(mask)]
     cuts = [solver.encode(bisim.truncate_type(t, d) for t in types) for d in range(m)]
     cuts.append(mask)
     return cuts
@@ -1730,10 +1759,15 @@ def _reference_playout(responder, literals):
 
 def _playout_traces(make_responder, monkeypatch):
     """The result, answers and terminal checks of ``exhaustive_playout`` and of
-    the reference playout, each against a fresh responder."""
+    the reference playout, each against a fresh responder; the reference is
+    given the root's literal list, which the playout makes itself."""
     terminal = game._terminal
     traces = []
-    for play in (exhaustive_playout, _reference_playout):
+
+    def reference(responder):
+        return _reference_playout(responder, game._position_literals(responder.position))
+
+    for play in (exhaustive_playout, reference):
         answers, checked = [], []
 
         def counting(pos, literals):
@@ -1741,8 +1775,7 @@ def _playout_traces(make_responder, monkeypatch):
             return terminal(pos, literals)
 
         monkeypatch.setattr(game, "_terminal", counting)
-        responder = make_responder()
-        result = play(_Recording(responder, answers), game._position_literals(responder.position))
+        result = play(_Recording(make_responder(), answers))
         traces.append((result, answers, checked))
     monkeypatch.setattr(game, "_terminal", terminal)
     return traces
