@@ -80,7 +80,11 @@ def _layers(model: KripkeModel, depth: int) -> list[dict[str, int]]:
     """The class id of each world at depths 0..depth, kept on the model.
 
     The list is the model's own and may already reach deeper; callers that
-    need exactly depths 0..depth slice it."""
+    need exactly depths 0..depth slice it.  Once a layer equals the one
+    before it, every deeper one equals it too, so from there on the entries
+    are that one dict, shared and not refined again: no caller may mutate a
+    layer.  A well-founded model reaches this fixpoint one depth past its
+    height; a cycle never does, as its unfolding keeps growing."""
     layers = model._layers
     if layers is not None and len(layers) > depth:
         return layers
@@ -89,15 +93,18 @@ def _layers(model: KripkeModel, depth: int) -> list[dict[str, int]]:
         layers = model._layers = [base]
     base = layers[0]  # a world's propositions are those of its depth-0 class
     ids, descs, intern = TYPES._ids, TYPES._descs, TYPES.intern
+    stable = len(layers) > 1 and layers[-1] is layers[-2]
     while len(layers) <= depth:
         prev = layers[-1]
-        layer = {}
-        for w, succ in model._succ.items():
-            # a class met before costs one lookup; only a new one is interned
-            key = (descs[base[w]][0], frozenset([prev[v] for v in succ]))
-            tid = ids.get(key)
-            layer[w] = intern(*key) if tid is None else tid
-        layers.append(layer)
+        if not stable:
+            layer = {}
+            for w, succ in model._succ.items():
+                # a class met before costs one lookup; only a new one is interned
+                key = (descs[base[w]][0], frozenset([prev[v] for v in succ]))
+                tid = ids.get(key)
+                layer[w] = intern(*key) if tid is None else tid
+            stable = layer == prev
+        layers.append(prev if stable else layer)
     return layers
 
 

@@ -87,9 +87,9 @@ def _load_position(args: argparse.Namespace) -> game.GamePosition:
             return game.position_from_dict(json.load(fh))
     if not (args.left and args.right and args.m is not None and args.k is not None):
         raise ValueError("need a position file, or --left, --right, --m and --k")
-    pos = game.GamePosition(
-        args.m, args.k, kripke.read_modelset(args.left), kripke.read_modelset(args.right)
-    )
+    # the file errors first, then --m, --k and the signature
+    left, right = kripke.read_modelset(args.left), kripke.read_modelset(args.right)
+    pos = game.GamePosition(game._budget(args.m, "--m"), game._budget(args.k, "--k"), left, right)
     game.position_signature(pos)
     return pos
 
@@ -103,7 +103,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_minimal(args: argparse.Namespace) -> int:
     left = kripke.read_modelset(args.left)
     right = kripke.read_modelset(args.right)
-    frontier = game.minimal_separating(left, right, args.max_size, node_limit=_node_limit(args))
+    node_limit = _node_limit(args)  # its error comes before that of --max-size
+    max_size = game._budget(args.max_size, "--max-size")
+    frontier = game.minimal_separating(left, right, max_size, node_limit=node_limit)
     _out({"frontier": _frontier_rows(frontier)})
     return 0
 

@@ -423,9 +423,13 @@ class _Solver:
     partition is searched.  Both cut only subtrees D wins, so the formulas
     found stay the same.  Every layer is closed under complement, as the
     budget counts no negation, so a layer is built from <> and & alone and
-    each new vector is kept with its complement (``_new_vectors``).  ``<>``
-    of a vector ORs one precomputed entry per byte of it (``_byte_tables``),
-    and a pair of sides never scans a layer twice without a separator.
+    each new vector is kept with its complement (``_new_vectors``).  It forms
+    no candidate known to be reached below: <> once per projection onto the
+    classes with a parent, no row of 0 or of the full mask, and each
+    unordered pair of vectors once (``_operand_pairs`` yields each pair of
+    layers once).  ``<>`` of a vector ORs one precomputed entry per byte of
+    it (``_byte_tables``), and a pair of sides never scans a layer twice
+    without a separator.
 
     Cost.  Each vector the table keeps is charged as one node, so
     ``node_limit`` bounds the table too and ``nodes`` counts search states
@@ -463,7 +467,9 @@ class _Solver:
         for model in {p.model for p in pos.left | pos.right}:
             layers = _layers(model, m)
             for d in range(m + 1):
-                ids.update(layers[d].values())
+                # past its fixpoint a model's layers are one shared dict
+                if not d or layers[d] is not layers[d - 1]:
+                    ids.update(layers[d].values())
         # the type table's lists are read directly: this runs once per solve
         self.types = sorted(ids, key=TYPES._keys.__getitem__)
         self.bit = {t: 1 << i for i, t in enumerate(self.types)}
@@ -517,6 +523,7 @@ class _Solver:
             self._reached: dict[int, tuple[int, ...]] = {}
             self._scanned: dict[tuple[int, int], list[int]] = {}
             self._parent_bytes = self._byte_tables()
+            self._kids = self._union_children(full)  # the classes with a parent
 
     def root(self, m: int) -> tuple[int, int]:
         """The masks of the depth-m classes of the position's two sides, typed
@@ -759,16 +766,19 @@ class _Solver:
     def _operand_pairs(self, m: int, k: int) -> Iterator[tuple[list[int], list[int]]]:
         """The pairs of layers whose & and | make layer (m, k): budgets
         (m1, k1) + (m2, k2) = (m, k - 1), each unordered pair once, as & and
-        | commute.  A pair with an empty layer makes no vector, so it is left
-        out."""
+        | commute, so (m1, k1) <= (m2, k2): k1-outer and m1-inner, m1 up to
+        m // 2, and at m1 = m2 only k1 <= k2.  A pair with an empty layer
+        makes no vector, so it is left out."""
         table = self._table
         for k1 in range(k):
-            for m1 in range(m + 1):
-                m2, k2 = m - m1, k - 1 - k1
-                if (m1, k1) <= (m2, k2):
-                    layer1, layer2 = table[m1, k1], table[m2, k2]
-                    if layer1 and layer2:
-                        yield layer1, layer2
+            k2 = k - 1 - k1
+            for m1 in range(m // 2 + 1):
+                m2 = m - m1
+                if m1 == m2 and k1 > k2:
+                    break
+                layer1, layer2 = table[m1, k1], table[m2, k2]
+                if layer1 and layer2:
+                    yield layer1, layer2
 
     def _layer(self, m: int, k: int) -> list[int]:
         """Layer (m, k) of the table, built if missing after the layers below
@@ -796,16 +806,30 @@ class _Solver:
         are complements of candidates too, so only <>v and v1 & v2 are
         formed, and ``_keep`` keeps and charges each new one with its
         complement.  The ceiling layer is not built here but decided by
-        ``_ceiling_holds``."""
+        ``_ceiling_holds``.
+
+        No candidate is formed whose vector is known to be reached below:
+        <>v depends only on v & kids, the classes that are someone's child,
+        so <> is taken once per projection; a row whose v1 is 0 or ``full``
+        (only layer (0, 0) holds them) gives 0 or v2, both reached at a
+        smaller budget, so it is skipped; and a layer paired with itself
+        pairs row i only with the rows after it, as & commutes and
+        v1 & v1 = v1."""
         budget = (m, k)  # one tuple, shared by every vector this layer keeps
         new: list[int] = []
+        table, full = self._table, self._full
         if m == 0 and k == 0:
             self._keep(budget, {truth for _, truth, _ in self.literals}, new)
         if m >= 1:
-            self._keep(budget, set(map(self._diamond, self._table[m - 1, k])), new)
+            kids = self._kids
+            self._keep(budget, set(map(self._diamond, {v & kids for v in table[m - 1, k]})), new)
         for layer1, layer2 in self._operand_pairs(m, k):
-            for v1 in layer1:
-                self._keep(budget, {v1 & v2 for v2 in layer2}, new)
+            mirrored = layer1 is layer2
+            for i, v1 in enumerate(layer1):
+                if v1 == 0 or v1 == full:
+                    continue
+                row = layer2[i + 1 :] if mirrored else layer2
+                self._keep(budget, {v1 & v2 for v2 in row}, new)
         return new
 
     def _keep(self, budget: tuple[int, int], found: set[int], new: list[int]) -> None:
@@ -852,7 +876,9 @@ class _Solver:
 
     def _byte_tables(self) -> list[list[int]]:
         """For each 8-class chunk of the universe, the mask of the classes
-        with a child among the chunk's set bits, for each of its 256 values."""
+        with a child among the chunk's set bits, for each of its 256 values.
+        A chunk's list doubles once per class: the entries with that class's
+        bit are those without it, each ORed with the class's parents."""
         size = len(self.types)
         parents = [0] * size  # per class, the classes it is a child of
         for i in range(size):
@@ -860,11 +886,9 @@ class _Solver:
                 parents[kid.bit_length() - 1] |= 1 << i
         tables = []
         for base in range(0, size, 8):
-            chunk = parents[base : base + 8]
-            entries = [0] * (1 << len(chunk))
-            for x in range(1, len(entries)):
-                low = x & -x  # x's entry: that of x without its lowest bit, plus its parents
-                entries[x] = entries[x ^ low] | chunk[low.bit_length() - 1]
+            entries = [0]
+            for up in parents[base : base + 8]:
+                entries += [e | up for e in entries]
             tables.append(entries)
         return tables
 
@@ -975,17 +999,20 @@ class DuplicatorWins:
 Verdict = SpoilerWins | DuplicatorWins
 
 
+def _budget(value: int, name: str) -> int:
+    """A budget as given.  Anything but a non-negative integer is an input
+    error whose message names ``name``, the caller's parameter or flag."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value!r}")
+    return value
+
+
 def _node_limit(node_limit: int | None, name: str = "node_limit") -> int:
-    """The limit to use, ``DEFAULT_NODE_LIMIT`` for None.  Anything but a
-    non-negative integer is an input error whose message names ``name``, the
-    caller's parameter or flag."""
-    if node_limit is None:
-        return DEFAULT_NODE_LIMIT
-    if type(node_limit) is not int:
-        raise ValueError(f"{name} must be a non-negative integer, got {node_limit!r}")
-    if node_limit < 0:
-        raise ValueError(f"{name} must be non-negative, got {node_limit!r}")
-    return node_limit
+    """The limit to use, ``DEFAULT_NODE_LIMIT`` for None, else checked as a
+    budget by ``_budget``."""
+    return DEFAULT_NODE_LIMIT if node_limit is None else _budget(node_limit, name)
 
 
 def solve(pos: GamePosition, *, node_limit: int | None = None) -> Verdict:
@@ -1280,8 +1307,7 @@ def minimal_separating(
     the errors of ``solve`` stop it too, and ``SearchTooDeep`` names the modal
     budget of the query that nested too deep.
     """
-    if type(max_total) is not int or max_total < 0:
-        raise ValueError(f"budget must be a non-negative integer, got {max_total!r}")
+    _budget(max_total, "max_total")
     frontier: list[tuple[int, int, MLFormula]] = []
     m = max_total  # the budget the solver types its universe to
     try:

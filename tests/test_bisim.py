@@ -264,3 +264,77 @@ def test_correspondence_with_formula_agreement():
             equivalent = n_bisimilar(p, q, n) is not None
             agree = all(ev_p.truth(f) == ev_q.truth(f) for f in family)
             assert agree == equivalent
+
+
+def _height(model: KripkeModel) -> int | None:
+    """The length of the longest path of a model, None when it has a cycle:
+    worlds are peeled off once all their successors are."""
+    height: dict[str, int] = {}
+    while len(height) < len(model.worlds):
+        ready = {
+            w: 1 + max((height[v] for v in model.succ(w)), default=-1)
+            for w in model.worlds
+            if w not in height and all(v in height for v in model.succ(w))
+        }
+        if not ready:
+            return None
+        height.update(ready)
+    return max(height.values(), default=0)
+
+
+def test_layers_past_the_fixpoint_are_one_shared_dict():
+    # each model of V_3 and the frame of level 3 is well-founded: its layer
+    # one depth past its height equals the one before, and every deeper
+    # entry is that dict, also when a later call extends the list
+    models = [hierarchy.model_of(a).model for a in hierarchy.v_level(3)] + [hierarchy.frame(3)]
+    for model in models:
+        _layers(model, 1)
+        layers = _layers(model, 12)
+        height = _height(model)
+        fixed = next(d for d in range(1, 13) if layers[d] == layers[d - 1])
+        assert fixed == height + 1, model.worlds
+        assert all(layers[d] is layers[fixed - 1] for d in range(fixed, 13))
+    assert {_height(model) for model in models} == {0, 1, 2}
+
+
+def test_a_loop_never_shares_a_layer():
+    model = KripkeModel(["l"], [("l", "l")], {})
+    layers = _layers(model, 10)
+    assert all(layers[d] is not layers[d - 1] and layers[d] != layers[d - 1] for d in range(1, 11))
+
+
+def _plain_refinement(models: list[KripkeModel], depth: int) -> list[dict[tuple[int, str], int]]:
+    """Per depth, a color for each (model index, world), shared by all the
+    models: first the propositions, then each round the propositions and the
+    set of successor colors, numbered as they first appear."""
+    colors: list[dict[tuple[int, str], int]] = []
+    prev: dict[tuple[int, str], int] = {}
+    for d in range(depth + 1):
+        numbering: dict[object, int] = {}
+        current = {}
+        for i, model in enumerate(models):
+            for w in model.worlds:
+                succ = frozenset(prev[i, v] for v in model.succ(w)) if d else None
+                signature = (frozenset(model.props_at(w)), succ)
+                current[i, w] = numbering.setdefault(signature, len(numbering))
+        colors.append(current)
+        prev = current
+    return colors
+
+
+def test_bounded_types_match_a_plain_refinement():
+    # two worlds of any two models share a depth-d class iff the plain
+    # refinement gives them one color at round d
+    rng = random.Random(83)
+    models = [random_pointed(rng, 5, ("p", "q")).model for _ in range(120)]
+    cyclic = sum(_height(model) is None for model in models)
+    assert 60 < cyclic < len(models)
+    colors = _plain_refinement(models, 10)
+    for d in range(11):
+        ids = {
+            (i, w): bounded_type(PointedModel(model, w), d)
+            for i, model in enumerate(models)
+            for w in model.worlds
+        }
+        pairs = {(ids[key], colors[d][key]) for key in ids}
+        assert len(pairs) == len(set(ids.values())) == len(set(colors[d].values())), d

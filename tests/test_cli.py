@@ -197,6 +197,42 @@ def test_negative_node_limit_is_an_input_error(capsys, files, command):
     assert err == "error: --node-limit must be non-negative, got -3\n"
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["solve", "--m", "-1", "--k", "0"], "--m must be non-negative, got -1"),
+        (["solve", "--m", "0", "--k", "-2"], "--k must be non-negative, got -2"),
+        (["solve", "--m", "-1", "--k", "-2"], "--m must be non-negative, got -1"),
+        (["minimal", "--max-size", "-1"], "--max-size must be non-negative, got -1"),
+        (
+            ["minimal", "--max-size", "-1", "--node-limit", "-3"],
+            "--node-limit must be non-negative, got -3",
+        ),
+    ],
+    ids=["solve-m", "solve-k", "solve-m-first", "minimal", "minimal-node-limit-first"],
+)
+def test_negative_budget_names_its_flag(capsys, files, command, message):
+    code, out, err = run(
+        capsys, command[0], "--left", files["vv1"], "--right", files["ee1"], *command[1:]
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["solve", "--m", "-1", "--k", "-2"], ["minimal", "--max-size", "-1"]],
+    ids=["solve", "minimal"],
+)
+def test_file_errors_come_before_budget_errors(capsys, files, tmp_path, command):
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run(
+        capsys, command[0], "--left", files["vv1"], "--right", missing, *command[1:]
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: [Errno 2]") and "missing.json" in err
+
+
 def test_solve_is_deterministic(capsys, files):
     first = run(capsys, "solve", files["pos_simple"])
     second = run(capsys, "solve", files["pos_simple"])

@@ -1041,6 +1041,75 @@ def test_table_layers_match_a_plain_reference_build():
         assert solver.nodes == sum(map(len, reference.values())), pos
 
 
+def _every_candidate(self, m: int, k: int) -> list[int]:
+    """``_Solver._new_vectors`` with no candidate left out: every row of
+    every pair of layers, both orders of each pair, and <> of every vector,
+    read class by class; each is kept through ``_keep``."""
+    size, table = len(self.types), self._table
+    kids = [self._union_children(1 << i) for i in range(size)]
+    budget = (m, k)
+    new: list[int] = []
+    if m == 0 and k == 0:
+        self._keep(budget, {truth for _, truth, _ in self.literals}, new)
+    if m >= 1:
+        diamonds = {sum(1 << i for i in range(size) if kids[i] & v) for v in table[m - 1, k]}
+        self._keep(budget, diamonds, new)
+    for k1 in range(k):
+        for m1 in range(m + 1):
+            for v1 in table[m1, k1]:
+                self._keep(budget, {v1 & v2 for v2 in table[m - m1, k - 1 - k1]}, new)
+    return new
+
+
+def test_table_skips_only_candidates_it_holds(monkeypatch, vv2, ee2, vv3, ee3):
+    # the ⊥ and ⊤ rows, the mirrored half of a layer paired with itself and
+    # a second <> of one projection add no vector: the frontiers, every
+    # layer as a set and the node totals equal those of a build that forms
+    # every candidate
+    runs, base = {}, game._Solver
+    for name, kernel in (("kernel", base._new_vectors), ("every", _every_candidate)):
+        solvers = []
+
+        class RecordingSolver(base):
+            def __init__(self, pos, node_limit, *, table):
+                super().__init__(pos, node_limit, table=table)
+                solvers.append(self)
+
+        monkeypatch.setattr(RecordingSolver, "_new_vectors", kernel)
+        monkeypatch.setattr(game, "_Solver", RecordingSolver)
+        frontiers = [minimal_separating(vv2, ee2, 15), minimal_separating(vv3, ee3, 12)]
+        layers = [{b: set(layer) for b, layer in s._table.items()} for s in solvers]
+        runs[name] = (frontiers, layers, [s.nodes for s in solvers])
+    assert runs["kernel"] == runs["every"]
+    assert runs["kernel"][2] == [1_130, 4_227]
+
+
+def _plain_operand_pairs(table, m: int, k: int) -> list[tuple[list[int], list[int]]]:
+    """Every pair of budgets (m1, k1) + (m2, k2) = (m, k - 1) with
+    (m1, k1) <= (m2, k2) and both layers non-empty, k1-outer and m1-inner."""
+    out = []
+    for k1 in range(k):
+        for m1 in range(m + 1):
+            m2, k2 = m - m1, k - 1 - k1
+            if (m1, k1) <= (m2, k2) and table[m1, k1] and table[m2, k2]:
+                out.append((table[m1, k1], table[m2, k2]))
+    return out
+
+
+def test_operand_pairs_are_the_ordered_half_of_the_grid():
+    # the same layers in the same order as a filter over the whole grid, with
+    # every layer non-empty and with some of them empty
+    solver = object.__new__(game._Solver)
+    for empty in (lambda m, k: False, lambda m, k: (3 * m + k) % 4 == 1):
+        solver._table = {(m, k): [] if empty(m, k) else [m, k] for m in range(13) for k in range(13)}
+        for m in range(13):
+            for k in range(13):
+                pairs = list(solver._operand_pairs(m, k))
+                expected = _plain_operand_pairs(solver._table, m, k)
+                assert len(pairs) == len(expected), (m, k)
+                assert all(a is c and b is d for (a, b), (c, d) in zip(pairs, expected)), (m, k)
+
+
 def _scan_from_scratch(solver, m: int, k: int, A: int, B: int) -> bool:
     """``_separable`` without its record of scanned layers: every layer within
     (m, k), kk-outer and mm-inner, building the missing ones, the ceiling
