@@ -194,9 +194,14 @@ class BisimWitness:
 
 
 def n_bisimilar(p: PointedModel, q: PointedModel, n: int) -> BisimWitness | None:
-    """A witness if the pointed models are depth-n equivalent, else None."""
+    """A witness if the pointed models are depth-n equivalent, else None.
+
+    Refinement on the two models side by side gains a class each round until
+    it is stable, so it is stable by depth |W_p| + |W_q|, and the types are
+    compared at most that deep; the witness keeps the depth n asked for."""
     _check_signatures(p, q)
-    if bounded_type(p, n) != bounded_type(q, n):
+    depth = min(n, len(p.model.worlds) + len(q.model.worlds))
+    if bounded_type(p, depth) != bounded_type(q, depth):
         return None
     return BisimWitness(p, q, n)
 

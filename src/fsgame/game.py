@@ -77,8 +77,8 @@ class GamePosition:
 
     A position keeps the literal list of its signature once something asks
     for it (``_position_literals``), so a ``solve`` makes it once for its root
-    decision and its solver; a responder's successor move keeps the successor
-    union of the side it leaves alone (``_advance``)."""
+    decision and its solver; a successor move keeps on it the successor union
+    of the side it leaves alone (``_next_position``)."""
 
     m: int
     k: int
@@ -93,10 +93,9 @@ class GamePosition:
         # field is written once; writing through ``self.__dict__`` would be
         # quicker still, but it gives every position a dict of its own, twice
         # the memory
-        if type(m) is not int or type(k) is not int:
-            raise ValueError(f"budgets must be integers, got m={m!r}, k={k!r}")
-        if m < 0 or k < 0:
-            raise ValueError("budgets must be non-negative")
+        if type(m) is not int or type(k) is not int or m < 0 or k < 0:
+            _budget(m, "m")
+            _budget(k, "k")
         if type(left) is not frozenset:
             left = frozenset(left)
         if type(right) is not frozenset:
@@ -355,12 +354,12 @@ def apply_move(pos: GamePosition, move: Move, d_choice: str | None = None) -> Ga
     return _next_position(pos, kind, move, d_choice)
 
 
-def _next_position(
-    pos: GamePosition, kind: type, move: Move, d_choice: str | None, rest: frozenset | None = None
-) -> GamePosition:
-    """The position after a legal move of type ``kind`` and D's branch choice;
-    ``rest``, when given, is the successor union of the side a successor move
-    leaves alone."""
+def _next_position(pos: GamePosition, kind: type, move: Move, d_choice: str | None) -> GamePosition:
+    """The position after a legal move of type ``kind`` and D's branch choice.
+
+    A successor move keeps the successor union of the side it leaves alone on
+    ``pos``, so the moves at one position, as a responder's playout makes
+    them all, build it once rather than once per move."""
     if kind is LeftSplit:
         if d_choice == "left":
             return GamePosition(move.m1, move.k1, move.left1, pos.right)
@@ -371,24 +370,13 @@ def _next_position(
         return GamePosition(move.m2, move.k2, pos.left, move.right2)
     # a legal choice is total on its side, so its values are the image
     image = frozenset(move.choice.values())
-    if rest is None:
-        rest = diamond_all(pos.right if kind is LeftSucc else pos.left)
-    if kind is LeftSucc:
-        return GamePosition(pos.m - 1, pos.k, image, rest)
-    return GamePosition(pos.m - 1, pos.k, rest, image)
-
-
-def _advance(pos: GamePosition, kind: type, move: LeftSucc | RightSucc) -> GamePosition:
-    """``apply_move`` of a successor move of type ``kind``, for the
-    responders, which answer every move at a position: the successor union of
-    the side the move leaves alone is kept on the position, so a playout
-    builds it once per position rather than once per move."""
-    _check_succ(pos, move, kind is LeftSucc)
     kept, name = pos.__dict__, "_right_union" if kind is LeftSucc else "_left_union"
     rest = kept.get(name)
     if rest is None:
         rest = kept[name] = diamond_all(pos.right if kind is LeftSucc else pos.left)
-    return _next_position(pos, kind, move, None, rest)
+    if kind is LeftSucc:
+        return GamePosition(pos.m - 1, pos.k, image, rest)
+    return GamePosition(pos.m - 1, pos.k, rest, image)
 
 
 _MISS = object()
@@ -1238,9 +1226,7 @@ class _BisimResponder:
             _check_split(pos, move, is_left)
             nxt = _next_position(pos, kind, move, choice)
             return choice, _BisimResponder(nxt, self.pin_left, self.pin_right)
-        if kind is None:
-            raise IllegalMoveError(f"not a move: {move!r}")
-        nxt = _advance(pos, kind, move)
+        nxt = apply_move(pos, move)
         flip = kind is RightSucc
         pin, other = (self.pin_right, self.pin_left) if flip else (self.pin_left, self.pin_right)
         moved = move.choice[pin]
@@ -1302,10 +1288,12 @@ def minimal_separating(
     truth-vector table across the whole budget grid.  The table answers every
     position where no formula within budget separates without a search, so
     only positions S wins are expanded.  The layers m + k = max_total are
-    decided, not built; ``_Solver`` states what that costs.  A budget or
-    ``node_limit`` that is not a non-negative integer raises ``ValueError``;
-    the errors of ``solve`` stop it too, and ``SearchTooDeep`` names the modal
-    budget of the query that nested too deep.
+    decided, not built; ``_Solver`` states what that costs.  The grid stops at
+    the first total whose cells the frontier all dominates, as it then
+    dominates every larger total too.  A budget or ``node_limit`` that is not
+    a non-negative integer raises ``ValueError``; the errors of ``solve`` stop
+    it too, and ``SearchTooDeep`` names the modal budget of the query that
+    nested too deep.
     """
     _budget(max_total, "max_total")
     frontier: list[tuple[int, int, MLFormula]] = []
@@ -1313,13 +1301,20 @@ def minimal_separating(
     try:
         solver = _Solver(GamePosition(max_total, 0, a, b), node_limit, table=True)
         for total in range(max_total + 1):
+            open_cell = False
             for m in range(total + 1):
                 k = total - m
                 if any(fm <= m and fk <= k for fm, fk, _ in frontier):
                     continue
                 formula = solver.win(m, k, *solver.root(m))
-                if formula is not None:
+                if formula is None:
+                    open_cell = True
+                else:
                     frontier.append((m, k, formula))
+            if not open_cell:
+                # every cell of this total is dominated, so every cell of the
+                # next is too: (0, t+1) >= (0, t) and (m, t+1-m) >= (m-1, t+1-m)
+                break
     except RecursionError:
         raise SearchTooDeep(m) from None
     return sorted(frontier, key=lambda entry: (entry[0], entry[1]))

@@ -23,7 +23,6 @@ from .game import (
     Move,
     RightSplit,
     RightSucc,
-    _advance,
     _BisimResponder,
     _check_pins,
     _move_kind,
@@ -216,7 +215,7 @@ class _ColoringResponder:
         then membership."""
         a, by_vertex, pair_member = self._pinned
         kind = _move_kind(move)
-        nxt = _advance(self.position, kind, move)
+        nxt = apply_move(self.position, move)
         if kind is LeftSucc:
             pin_left = move.choice[by_vertex[a]]
             pin_right = PointedModel(pair_member.model, a)

@@ -92,38 +92,30 @@ def tower(n: int) -> int:
     return value
 
 
-# |level 5| = 65536 is the enumeration ceiling: levels up to LEVEL_CAP are
-# listed freely, LEVEL_MAX only behind a flag.  The families stop at n = 3:
-# level 4 has 16 sets and 120 pairs, while level 5 has 65,536 sets, too many to
-# pair or to color.
-LEVEL_CAP = 4
-LEVEL_MAX = 5
+# levels up to LEVEL_CAP are listed: level 5 has 65,536 sets, while level 6
+# has 2^65,536.  The families stop at n = 3: level 4 has 16 sets and 120
+# pairs, while level 5 has too many to pair or to color.
+LEVEL_CAP = 5
 FAMILY_CAP = 3
 
 
 class LevelTooLarge(ValueError):
-    """A level past the enumeration ceiling: above ``LEVEL_MAX``, or above
-    ``LEVEL_CAP`` without ``allow_large``."""
+    """A level past ``LEVEL_CAP``, which cannot be enumerated."""
 
 
 class FamilyTooLarge(ValueError):
     """A join family past ``FAMILY_CAP``."""
 
 
-def v_level(
-    n: int, *, allow_large: bool = False, flag: str = "allow_large=True", name: str = "n"
-) -> frozenset[HFSet]:
+def v_level(n: int, *, name: str = "n") -> frozenset[HFSet]:
     """The n-th iterated powerset of the empty set.
 
     A negative n raises ``ValueError`` worded after ``name``, the caller's
-    name for n.  A level past the ceiling raises ``LevelTooLarge``; at
-    ``LEVEL_MAX`` its message names ``flag``, the caller's way to pass
-    ``allow_large``."""
+    name for n, and a level past ``LEVEL_CAP`` raises ``LevelTooLarge``."""
     if n < 0:
         raise ValueError(f"{name} must be non-negative")
-    if n > LEVEL_MAX or (n > LEVEL_CAP and not allow_large):
-        hint = f"; pass {flag} to enumerate level {n}" if n == LEVEL_MAX else ""
-        raise LevelTooLarge(f"refusing to enumerate level {n}{hint}")
+    if n > LEVEL_CAP:
+        raise LevelTooLarge(f"refusing to enumerate level {n}")
     level: list[HFSet] = []
     for _ in range(n):
         below = sorted(level)

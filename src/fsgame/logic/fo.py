@@ -182,15 +182,13 @@ def make_psi(n: int, x: str = "x", y: str = "y") -> FOFormula:
     return And(forth, back)
 
 
-def make_phi(n: int, x: str = "x") -> FOFormula:
+def make_phi(n: int) -> FOFormula:
     """The formula asserting that all successors of x are pairwise n-equivalent."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    y = "y" if x != "y" else "y_"
-    z = "z" if x != "z" else "z_"
     return Forall(
-        y,
-        Forall(z, Implies(And(RelAtom(x, y), RelAtom(x, z)), make_psi(n, y, z))),
+        "y",
+        Forall("z", Implies(And(RelAtom("x", "y"), RelAtom("x", "z")), make_psi(n, "y", "z"))),
     )
 
 

@@ -333,18 +333,13 @@ def _wrap(f: MLFormula, minimum: int) -> str:
 
 
 def enumerate_ml(
-    ms_bound: int,
-    cs_bound: int,
-    signature: Iterable[str] = (),
-    *,
-    canonical: bool = True,
+    ms_bound: int, cs_bound: int, signature: Iterable[str] = ()
 ) -> Iterator[MLFormula]:
     """Yield every NNF formula with ms <= ms_bound and cs <= cs_bound.
 
-    With ``canonical=True`` (the default) the children of each binary
-    connective are required to be in sorted order, which halves the search
-    space without losing any separating power; ``canonical=False`` yields all
-    orderings.
+    The children of each binary connective come in sorted order, one of the
+    two orderings, which halves the search space without losing any
+    separating power.
     """
     if ms_bound < 0 or cs_bound < 0:
         raise ValueError("bounds must be non-negative")
@@ -380,7 +375,7 @@ def enumerate_ml(
                 for m1 in range(m + 1):
                     m2 = m - m1
                     for g, h in itertools.product(cls(m1, k1), cls(m2, k2)):
-                        if canonical and keys[id(g)] > keys[id(h)]:
+                        if keys[id(g)] > keys[id(h)]:
                             continue
                         body = keys[id(g)] + "," + keys[id(h)]
                         made(And(g, h), "A(" + body + ")", out)

@@ -87,7 +87,7 @@ def test_criterion_3_fo_size_arithmetic():
 
 
 def test_criterion_4_hierarchy_cardinalities():
-    counts = [len(hierarchy.v_level(n, allow_large=(n == 5))) for n in range(1, 6)]
+    counts = [len(hierarchy.v_level(n)) for n in range(1, 6)]
     ok = counts == [1, 2, 4, 16, 65536]
     ok = ok and len(hierarchy.vv_set(2)) == 4
     ok = ok and len(hierarchy.ee_set(2)) == 6

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -36,6 +37,36 @@ def test_n_bisimilar_examples(m_empty, m_single):
     witness = n_bisimilar(m_single, m_single, 3)
     assert witness is not None
     assert all((w, w) in witness.layer(i) for i in range(4) for w in m_single.model.worlds)
+
+
+def test_n_bisimilar_far_past_the_world_count_answers_at_once():
+    # a loop never reaches a fixpoint of its class ids, so typing it 10^8
+    # deep would keep 10^8 layers; two worlds stabilise by depth 2 anyway
+    start = time.perf_counter()
+    for make in (
+        lambda: PointedModel(KripkeModel(["a", "b"], [("a", "b")]), "a"),
+        lambda: PointedModel(KripkeModel(["l"], [("l", "l")]), "l"),
+    ):
+        witness = n_bisimilar(make(), make(), 10**8)
+        assert witness is not None and witness.depth == 10**8
+    chain = PointedModel(KripkeModel(["a", "b"], [("a", "b")]), "a")
+    assert n_bisimilar(chain, PointedModel(KripkeModel(["l"], [("l", "l")]), "l"), 10**8) is None
+    assert time.perf_counter() - start < 10
+
+
+def test_n_bisimilar_agrees_with_bounded_type_at_the_asked_depth():
+    rng = random.Random(61)
+    beyond = 0
+    for _ in range(300):
+        props = ("p",)[: rng.randint(0, 1)]
+        p, q = (random_pointed(rng, 3, props) for _ in range(2))
+        for depth in range(10):
+            same = bounded_type(p, depth) == bounded_type(q, depth)
+            witness = n_bisimilar(p, q, depth)
+            assert (witness is not None) == same
+            assert witness is None or witness.depth == depth
+            beyond += depth > len(p.model.worlds) + len(q.model.worlds)
+    assert beyond >= 300
 
 
 def test_class_maps_grow_in_place_on_the_model():

@@ -258,15 +258,17 @@ def test_gen_level(capsys):
 
 
 def test_gen_level_guard(capsys):
-    code, _, err = run(capsys, "gen", "--level", "5")
-    assert code == 1
-    assert err == "refused: refusing to enumerate level 5; pass --allow-large to enumerate level 5\n"
-
-    code, out, _ = run(capsys, "gen", "--level", "5", "--allow-large")
+    code, out, _ = run(capsys, "gen", "--level", "5")
     assert code == 0
     assert len(json.loads(out)) == 65536
 
-    code, _, err = run(capsys, "gen", "--level", "6", "--allow-large")
+    # the opt-in flag is gone: argparse refuses it
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "gen", "--level", "5", "--allow-large")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --allow-large" in capsys.readouterr().err
+
+    code, _, err = run(capsys, "gen", "--level", "6")
     assert code == 1
     assert err == "refused: refusing to enumerate level 6\n"
 
@@ -320,6 +322,26 @@ def test_gen_phi(capsys):
     assert data["formula"].startswith("∀y")
     code, _, _ = run(capsys, "gen", "--phi", "0")
     assert code == 2
+
+
+def test_gen_phi_cap(capsys):
+    # the printed formula grows fourfold per step: 16 is the largest printed
+    code, out, _ = run(capsys, "gen", "--phi", str(cli.PHI_CAP))
+    assert code == 0 and cli.PHI_CAP == 16
+    assert json.loads(out)["n"] == 16
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gen", "--phi", "40")
+    assert (code, out, err) == (1, "", "refused: refusing to print --phi 40, past 16\n")
+    assert time.perf_counter() - start < 1
+
+
+def test_bisim_far_past_the_world_count(capsys, tmp_path):
+    loop = {"worlds": ["l"], "edges": [["l", "l"]], "valuation": {}, "point": "l"}
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(loop))
+    code, out, _ = run(capsys, "bisim", str(path), str(path), "--depth", "100000000")
+    assert code == 0
+    assert json.loads(out) == {"bisimilar": True, "depth": 100_000_000}
 
 
 def test_experiment_n1(capsys):

@@ -152,13 +152,15 @@ def test_sides_are_kept_as_frozensets(m_empty, m_single, e1):
 
 
 def test_position_contract(m_empty, m_single, e1, vv1, ee1):
-    # the checks and their messages, in order: integer budgets, then signs
+    # the checks and their messages, in order: m, then k, each worded by
+    # game._budget after its parameter
     for m, k, message in (
-        (1.0, 0, "budgets must be integers, got m=1.0, k=0"),
-        (0, True, "budgets must be integers, got m=0, k=True"),
-        (-1, "2", "budgets must be integers, got m=-1, k='2'"),
-        (-1, 0, "budgets must be non-negative"),
-        (0, -2, "budgets must be non-negative"),
+        (1.0, 0, "m must be a non-negative integer, got 1.0"),
+        (0, True, "k must be a non-negative integer, got True"),
+        (-1, "2", "m must be non-negative, got -1"),
+        (1, "2", "k must be a non-negative integer, got '2'"),
+        (-1, 0, "m must be non-negative, got -1"),
+        (0, -2, "k must be non-negative, got -2"),
     ):
         with pytest.raises(ValueError) as exc:
             GamePosition(m, k, {m_empty}, {m_single})
@@ -362,6 +364,51 @@ def test_apply_move_accepts_the_move_types_and_their_subclasses(m_empty, m_singl
     for not_a_move in (None, "left", args, types.SimpleNamespace(choice=move.choice)):
         with pytest.raises(IllegalMoveError, match="not a move"):
             apply_move(succ_pos, not_a_move, None)
+
+
+def test_successor_moves_build_each_union_once(monkeypatch, vv2, ee2):
+    # every successor move at one position keeps the successor union of the
+    # side it leaves alone on that position, so the moves there build each
+    # side's union once, made by apply_move or answered by a responder
+    from fsgame import graphs
+
+    calls: list[frozenset] = []
+
+    def counting(side):
+        calls.append(side)
+        return diamond_all(side)
+
+    monkeypatch.setattr(game, "diamond_all", counting)
+    model = KripkeModel(["r", "a", "b"], [("r", "a"), ("r", "b"), ("a", "a")], {"p": ["a"]})
+    pin, twin = PointedModel(model, "r"), unfold(PointedModel(model, "r"), 2)
+    left, right = {pin, PointedModel(model, "a")}, {twin, unfold(PointedModel(model, "r"), 3)}
+
+    def fresh() -> GamePosition:
+        return GamePosition(2, 1, left, right)
+
+    moves = [mv for mv in legal_moves(fresh()) if isinstance(mv, (LeftSucc, RightSucc))]
+    assert sum(isinstance(mv, LeftSucc) for mv in moves) == 2
+    assert sum(isinstance(mv, RightSucc) for mv in moves) == 4
+    expected = [
+        GamePosition(1, 1, frozenset(mv.choice.values()), diamond_all(right))
+        if isinstance(mv, LeftSucc)
+        else GamePosition(1, 1, diamond_all(left), frozenset(mv.choice.values()))
+        for mv in moves
+    ]
+    pos = fresh()
+    assert [apply_move(pos, mv) for mv in moves] == expected
+    assert len(calls) == 2 and set(calls) == {pos.left, pos.right}
+    calls.clear()
+    responder = duplicator_bisim_strategy(fresh(), bisim.n_bisimilar(pin, twin, 2))
+    assert [responder.respond(mv)[1].position for mv in moves] == expected
+    assert set(calls) == {responder.position.left, responder.position.right} and len(calls) == 2
+    # the coloring responder hands successor moves to a pinned pair
+    calls.clear()
+    coloring = graphs.duplicator_coloring_strategy(GamePosition(1, 0, vv2, ee2))
+    succ = [mv for mv in legal_moves(coloring.position) if isinstance(mv, (LeftSucc, RightSucc))]
+    answered = [coloring.respond(mv)[1].position for mv in succ]
+    assert len(succ) > 2 and len(calls) == 2 and set(calls) == {vv2, ee2}
+    assert answered == [apply_move(GamePosition(1, 0, vv2, ee2), mv) for mv in succ]
 
 
 def test_solve_examples(m_empty, m_single, vv1, ee1):
@@ -667,6 +714,47 @@ def test_non_integer_node_limits_are_input_errors(vv1, ee1, limit):
         solve(GamePosition(3, 1, vv1, ee1), node_limit=limit)
     with pytest.raises(ValueError, match="node_limit"):
         minimal_separating(vv1, ee1, 5, node_limit=limit)
+
+
+def test_minimal_stops_once_a_whole_total_is_dominated():
+    # (0, 0) dominates the whole grid, so the walk stops after total 0
+    # rather than testing 5 * 10^9 cells against the frontier
+    p = PointedModel(KripkeModel(["w"], [], {"p": ["w"]}), "w")
+    not_p = PointedModel(KripkeModel(["w"], [], {"p": []}), "w")
+    start = time.perf_counter()
+    frontier = minimal_separating([p], [not_p], 100_000)
+    assert time.perf_counter() - start < 10
+    assert frontier == [(0, 0, ml.Prop("p"))]
+
+
+def _grid_frontier(a, b, max_total: int) -> list:
+    """``minimal_separating`` without its stop: every cell up to max_total."""
+    solver = game._Solver(GamePosition(max_total, 0, a, b), None, table=True)
+    frontier: list = []
+    for total in range(max_total + 1):
+        for m in range(total + 1):
+            k = total - m
+            if not any(fm <= m and fk <= k for fm, fk, _ in frontier):
+                formula = solver.win(m, k, *solver.root(m))
+                if formula is not None:
+                    frontier.append((m, k, formula))
+    return sorted(frontier, key=lambda entry: entry[:2])
+
+
+def test_minimal_stop_keeps_the_frontier():
+    rng = random.Random(29)
+    stopped = 0
+    for _ in range(150):
+        pos = random_position(rng, max_worlds=3, max_side=3, max_props=2)
+        max_total = rng.randint(0, 5)
+        expected = _grid_frontier(pos.left, pos.right, max_total)
+        assert minimal_separating(pos.left, pos.right, max_total) == expected
+        # a total below max_total whose cells are all dominated ends the walk
+        stopped += any(
+            all(any(fm <= m and fk <= t - m for fm, fk, _ in expected) for m in range(t + 1))
+            for t in range(max_total)
+        )
+    assert stopped >= 20
 
 
 def _searched_verdict(pos: GamePosition) -> dict:

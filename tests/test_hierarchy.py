@@ -50,7 +50,7 @@ def test_levels():
     assert v_level(0) == frozenset()
     assert v_level(2) == {EMPTY_SET, HFSet([EMPTY_SET])}
     assert [len(v_level(n)) for n in range(1, 5)] == [1, 2, 4, 16]
-    assert len(v_level(5, allow_large=True)) == 65536
+    assert len(v_level(5)) == 65536
 
 
 def test_levels_are_iterated_powersets_and_not_cached():
@@ -67,19 +67,14 @@ def test_levels_are_iterated_powersets_and_not_cached():
 
 
 def test_level_guards():
-    with pytest.raises(ValueError):
-        v_level(5)
-    with pytest.raises(ValueError):
-        v_level(6, allow_large=True)
-    # the refusal names the caller's flag where one would lift it
-    with pytest.raises(hierarchy.LevelTooLarge, match=r"^refusing to enumerate level 5; pass allow_large=True to"):
-        v_level(5)
-    with pytest.raises(hierarchy.LevelTooLarge, match=r"^refusing to enumerate level 5; pass --big to enumerate level 5$"):
-        v_level(5, flag="--big")
+    # one cap: level 5 is listed, level 6 is refused
+    assert hierarchy.LEVEL_CAP == 5 and not hasattr(hierarchy, "LEVEL_MAX")
     with pytest.raises(hierarchy.LevelTooLarge, match=r"^refusing to enumerate level 6$"):
-        v_level(6, allow_large=True, flag="--big")
-    with pytest.raises(ValueError):
+        v_level(6)
+    with pytest.raises(ValueError, match=r"^n must be non-negative$"):
         v_level(-1)
+    with pytest.raises(ValueError, match=r"^--level must be non-negative$"):
+        v_level(-1, name="--level")
 
 
 def test_levels_are_transitive():
