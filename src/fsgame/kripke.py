@@ -18,7 +18,10 @@ class KripkeModel:
     itself.  Two models are equal iff they have the same worlds, edges and
     valuation.
 
-    A model also keeps, filled on demand, the successor set of each world
+    A model stores its worlds, its valuation and the sorted successors of
+    each world (``succ``), the one copy of the relation.  ``edges`` builds
+    the set of pairs on each read, so a loop should read it once.
+    It also keeps, filled on demand, the successor set of each world
     (``successors``), the same successors in ``canonical_key`` order
     (``ordered_successors``), the canonical key of each point
     (``canonical_key``) and its class maps by depth (``bisim``); they are
@@ -27,8 +30,8 @@ class KripkeModel:
     in the process that loads the model.
     """
 
-    __slots__ = ("worlds", "edges", "valuation", "prop_set", "_succ", "_hash", "_successors",
-                 "_ordered", "_canon", "_layers", "__weakref__")
+    __slots__ = ("worlds", "valuation", "prop_set", "_succ", "_hash", "_successors", "_ordered",
+                 "_canon", "_layers", "__weakref__")
 
     def __init__(
         self,
@@ -36,29 +39,27 @@ class KripkeModel:
         edges: Iterable[tuple[str, str]] = (),
         valuation: Mapping[str, Iterable[str]] | None = None,
     ) -> None:
-        ws = frozenset(worlds)
-        es = frozenset((u, v) for u, v in edges)
-        val = {p: frozenset(extent) for p, extent in dict(valuation or {}).items()}
-        for w in ws:
+        listed = list(worlds)
+        for w in listed:
             if not isinstance(w, str):
                 raise TypeError(f"world identifiers must be strings, got {w!r}")
-        for u, v in es:
+        ws = frozenset(listed)
+        succ: dict[str, set[str]] = {w: set() for w in ws}
+        for u, v in edges:
             if u not in ws or v not in ws:
                 raise ValueError(f"edge ({u!r}, {v!r}) mentions a world outside the model")
+            succ[u].add(v)
+        val = {p: frozenset(extent) for p, extent in dict(valuation or {}).items()}
         for p, extent in val.items():
             if not (isinstance(p, str) and p.isascii() and p.isidentifier()) or p in ("T", "F"):
                 raise ValueError(f"proposition name {p!r} is not an identifier other than T and F")
             if not extent <= ws:
                 raise ValueError(f"valuation of {p!r} mentions worlds outside the model")
         self.worlds = ws
-        self.edges = es
         self.valuation = val
         self.prop_set = frozenset(val)
-        succ: dict[str, list[str]] = {w: [] for w in ws}
-        for u, v in es:
-            succ[u].append(v)
         self._succ = {w: tuple(sorted(vs)) for w, vs in succ.items()}
-        self._hash = hash((ws, es, frozenset(val.items())))
+        self._hash = hash((ws, frozenset(self._succ.items()), frozenset(val.items())))
         # None until first use, so a model never stepped through, keyed or
         # typed allocates nothing more: the successor set of each point, its
         # successors in canonical_key order, the canonical_key of each point
@@ -67,6 +68,11 @@ class KripkeModel:
         self._ordered: dict[str, tuple[PointedModel, ...]] | None = None
         self._canon: dict[str, str] | None = None
         self._layers: list[dict[str, int]] | None = None
+
+    @property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        """The accessibility relation as a set of pairs, built on each read."""
+        return frozenset([(u, v) for u, vs in self._succ.items() for v in vs])
 
     def succ(self, world: str) -> tuple[str, ...]:
         """Successor worlds of ``world``, sorted."""
@@ -81,7 +87,7 @@ class KripkeModel:
             return NotImplemented
         return (
             self.worlds == other.worlds
-            and self.edges == other.edges
+            and self._succ == other._succ
             and self.valuation == other.valuation
         )
 
@@ -92,7 +98,8 @@ class KripkeModel:
         return KripkeModel, (self.worlds, self.edges, self.valuation)
 
     def __repr__(self) -> str:
-        return f"KripkeModel({len(self.worlds)} worlds, {len(self.edges)} edges, props={sorted(self.valuation)})"
+        n = sum(map(len, self._succ.values()))
+        return f"KripkeModel({len(self.worlds)} worlds, {n} edges, props={sorted(self.valuation)})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,7 +244,7 @@ def generated(p: PointedModel) -> PointedModel:
             if v not in reach:
                 reach.add(v)
                 frontier.append(v)
-    edges = {(u, v) for (u, v) in model.edges if u in reach and v in reach}
+    edges = [(u, v) for u in reach for v in model.succ(u)]
     valuation = {q: extent & reach for q, extent in model.valuation.items()}
     return PointedModel(KripkeModel(reach, edges, valuation), p.point)
 
@@ -247,7 +254,7 @@ def pointed_to_dict(p: PointedModel) -> dict:
     m = p.model
     return {
         "worlds": sorted(m.worlds),
-        "edges": sorted([u, v] for (u, v) in m.edges),
+        "edges": [[u, v] for u in sorted(m.worlds) for v in m.succ(u)],
         "valuation": {q: sorted(extent) for q, extent in sorted(m.valuation.items())},
         "point": p.point,
     }

@@ -5,12 +5,14 @@ import pickle
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import fsgame
-from fsgame import kripke
+from fsgame import bisim, kripke
 from fsgame.kripke import (
     KripkeModel,
     PointedModel,
@@ -27,7 +29,7 @@ from fsgame.kripke import (
     successors,
 )
 from fsgame.logic.ml import NegProp, Prop, parse_ml, print_ml
-from randgen import random_pointed
+from randgen import random_model, random_pointed
 
 
 def test_model_validation():
@@ -39,6 +41,82 @@ def test_model_validation():
         KripkeModel([1, 2])
     with pytest.raises(ValueError):
         PointedModel(KripkeModel(["a"]), "b")
+
+
+_ERROR_SCRIPT = """
+from fsgame.kripke import KripkeModel
+for args in ((["a", "b"], [("a", "zz"), ("yy", "b"), ("q", "r")]), (["a", 1, 2.5],)):
+    try:
+        KripkeModel(*args)
+    except (TypeError, ValueError) as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+def test_model_errors_name_the_first_bad_input_under_every_hash_seed():
+    # the first bad edge and world in input order, not in set order
+    src = str(Path(fsgame.__file__).resolve().parent.parent)
+    for seed in range(1, 7):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _ERROR_SCRIPT], env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "ValueError edge ('a', 'zz') mentions a world outside the model",
+            "TypeError world identifiers must be strings, got 1",
+        ]
+
+
+@st.composite
+def _relation_inputs(draw):
+    """Worlds, a relation and a valuation, then the same worlds and relation
+    again in another order and with repeats."""
+    worlds = draw(st.lists(st.text(max_size=2), min_size=1, max_size=5, unique=True))
+    world = st.sampled_from(worlds)
+    edges = draw(st.lists(st.tuples(world, world), max_size=25))
+    valuation = draw(st.dictionaries(st.sampled_from(("p", "q")), st.lists(world, max_size=5)))
+    shuffled_worlds = draw(st.permutations(worlds + worlds[: draw(st.integers(0, len(worlds)))]))
+    shuffled_edges = draw(st.permutations(edges + edges[: draw(st.integers(0, len(edges)))]))
+    return worlds, edges, valuation, shuffled_worlds, shuffled_edges
+
+
+@given(_relation_inputs())
+def test_model_contract(inputs):
+    worlds, edges, valuation, shuffled_worlds, shuffled_edges = inputs
+    model = KripkeModel(worlds, edges, valuation)
+    again = KripkeModel(shuffled_worlds, shuffled_edges, valuation)
+    assert model == again and hash(model) == hash(again)
+    assert model.edges == again.edges == set(edges)
+    for w in worlds:
+        assert model.succ(w) == tuple(sorted({v for u, v in edges if u == w}))
+        p = PointedModel(model, w)
+        assert pointed_to_dict(p)["edges"] == sorted(map(list, set(edges)))
+        assert pointed_from_dict(pointed_to_dict(p)) == p
+        hash(p), successors(p), ordered_successors(p), canonical_key(p), bisim.bounded_type(p, 2)
+        loaded = pickle.loads(pickle.dumps(p))
+        assert loaded == p and hash(loaded) == hash(p) and hash(loaded.model) == hash(model)
+        cached = (loaded.model._successors, loaded.model._ordered, loaded.model._canon, loaded.model._layers)
+        assert cached == (None, None, None, None)
+
+
+def test_a_model_stores_its_relation_once():
+    # 1,383-1,478 bytes a model on CPython 3.10-3.13; a second copy of the
+    # relation, as a frozenset of edge pairs, brings it to 1,912-2,006
+    rng = random.Random(7)
+    drawn = [random_model(rng, 4, ("p", "q")) for _ in range(2000)]
+    inputs = [
+        (sorted(m.worlds), sorted(m.edges), {q: sorted(e) for q, e in m.valuation.items()})
+        for m in drawn
+    ]
+    del drawn
+    tracemalloc.start()
+    try:
+        models = [KripkeModel(*args) for args in inputs]
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size / len(models) <= 1800
 
 
 @pytest.mark.parametrize("name", ["T", "F", "p q", "<>", "", "1p", "p-q", "é", 3])
